@@ -391,7 +391,7 @@ class DataNode(ClusterNode):
                 request.reply(("conflict", str(exc)))
                 return
             heap = self.engine.table(table)
-            current = self.engine._current_for_write(heap, key, txid)
+            current = self.engine.current_for_write(heap, key, txid)
             request.reply(("ok", dict(current.data) if current else None))
         self._spawn(run(), "read_for_update")
 
@@ -498,7 +498,7 @@ class DataNode(ClusterNode):
         if not any(callable(value) for value in changes.values()):
             return dict(changes)
         heap = self.engine.table(table)
-        current = self.engine._current_for_write(heap, key, txid)
+        current = self.engine.current_for_write(heap, key, txid)
         base = current.data if current is not None else {}
         resolved = {}
         for column, value in changes.items():

@@ -41,6 +41,7 @@ from repro.storage.redo import (
     RedoUpdate,
 )
 from repro.storage.snapshot import Snapshot
+from repro.storage.vacuum import vacuum_tables
 
 
 class ReplicaStore:
@@ -108,7 +109,7 @@ class ReplicaStore:
     def _apply_update(self, record: RedoUpdate) -> None:
         self.clog.ensure(record.txid)
         heap = self.table(record.table)
-        old = self._current_unended(heap, record.key, record.txid)
+        old = self._current_unended(heap, record.key)
         if old is not None:
             old.xmax = record.txid
         version = RowVersion(key=record.key, data=dict(record.row),
@@ -120,25 +121,21 @@ class ReplicaStore:
     def _apply_delete(self, record: RedoDelete) -> None:
         self.clog.ensure(record.txid)
         heap = self.table(record.table)
-        old = self._current_unended(heap, record.key, record.txid)
+        old = self._current_unended(heap, record.key)
         if old is not None:
             old.xmax = record.txid
             self._txn_versions.setdefault(record.txid, []).append(
                 ("delete", heap, None, old))
 
-    def _current_unended(self, heap: HeapTable, key: tuple,
-                         txid: int) -> RowVersion | None:
-        """The version this write supersedes: the transaction's own latest
-        un-ended version, else the latest un-ended foreign version."""
-        fallback = None
+    def _current_unended(self, heap: HeapTable, key: tuple) -> RowVersion | None:
+        """The version this write supersedes: the first un-ended one. Redo
+        arrives in LSN order, which replays the primary's row-lock order, so
+        a transaction's own un-ended version can only be that first one
+        (chain invariant, :mod:`repro.storage.heap`)."""
         for version in heap.versions(key):
-            if version.xmax is not None:
-                continue
-            if version.xmin == txid:
+            if version.xmax is None:
                 return version
-            if fallback is None:
-                fallback = version
-        return fallback
+        return None
 
     def _apply_pending_commit(self, record: RedoPendingCommit) -> None:
         self.clog.ensure(record.txid)
@@ -304,8 +301,6 @@ class ReplicaStore:
         The retention window keeps every snapshot the RCP can still hand
         out readable (the RCP never exceeds this replica's frontier, and
         stale routing is bounded by the lag guard)."""
-        from repro.storage.vacuum import vacuum_tables
-
         horizon = self.max_commit_ts - retention_ns
         return vacuum_tables(self._tables, self.clog, horizon)
 

@@ -9,7 +9,10 @@ write/read surface a primary data node exposes:
 - Updates and deletes use read-committed write semantics (as in
   GaussDB/openGauss): after the row lock is granted, the write applies to
   the *latest committed* version, not the transaction's snapshot. This keeps
-  TPC-C abort rates realistic for hot rows (district next-order-id).
+  TPC-C abort rates realistic for hot rows (district next-order-id). The row
+  lock is also what upholds the chain invariant (:mod:`repro.storage.heap`)
+  that lets that version be found at the head of the chain, not by scanning
+  it; the engine trusts its caller to hold the lock.
 - Commit follows the paper's §IV-A ordering: a ``PENDING_COMMIT`` record is
   logged *before* the commit timestamp is obtained, then the ``COMMIT``
   record carries the timestamp. Replicas use the pair to hold back reads on
@@ -41,6 +44,7 @@ from repro.storage.redo import (
     RedoUpdate,
 )
 from repro.storage.snapshot import Snapshot
+from repro.storage.vacuum import vacuum_tables
 from repro.storage.wal import WalBuffer
 
 
@@ -156,17 +160,18 @@ class StorageEngine:
 
     def abort(self, txid: int) -> int:
         """Roll back and log the abort record. Returns its LSN."""
-        for entry in reversed(self._undo.pop(txid, [])):
-            kind, heap, version, old_version = entry
-            if kind == "insert":
+        return self._rollback(txid, RedoAbort(txid=txid))
+
+    def _rollback(self, txid: int, record) -> int:
+        """Undo ``txid``'s writes newest first (each removed version is at
+        the head of its chain), then log ``record`` as its outcome."""
+        for _kind, heap, version, old_version in reversed(self._undo.pop(txid, [])):
+            if old_version is not None and old_version.xmax == txid:
+                old_version.xmax = None
+            if version is not None:
                 heap.remove_version(version)
-            elif kind in ("update", "delete"):
-                if old_version.xmax == txid:
-                    old_version.xmax = None
-                if version is not None:
-                    heap.remove_version(version)
         self.clog.abort(txid)
-        lsn = self.wal.append(RedoAbort(txid=txid))
+        lsn = self.wal.append(record)
         self.locks.release_all(txid)
         self._resolve(txid)
         return lsn
@@ -191,20 +196,7 @@ class StorageEngine:
     def abort_prepared(self, txid: int) -> int:
         if self.clog.status(txid) is not TxnStatus.PREPARED:
             raise TransactionError(f"transaction {txid} is not prepared")
-        for entry in reversed(self._undo.pop(txid, [])):
-            kind, heap, version, old_version = entry
-            if kind == "insert":
-                heap.remove_version(version)
-            elif kind in ("update", "delete"):
-                if old_version.xmax == txid:
-                    old_version.xmax = None
-                if version is not None:
-                    heap.remove_version(version)
-        self.clog.abort(txid)
-        lsn = self.wal.append(RedoAbortPrepared(txid=txid))
-        self.locks.release_all(txid)
-        self._resolve(txid)
-        return lsn
+        return self._rollback(txid, RedoAbortPrepared(txid=txid))
 
     def heartbeat(self, commit_ts: int) -> int:
         """Log a heartbeat so idle replicas keep advancing (§IV-A)."""
@@ -261,14 +253,16 @@ class StorageEngine:
         schema = self.catalog.table(table)
         heap = self.table(table)
         key = schema.key_of(row)
-        existing = self._latest_committed(heap, key)
-        if existing is not None:
+        if self.current_for_write(heap, key, txid) is not None:
             raise DuplicateKeyError(f"duplicate key {key} in {table}")
+        # Inserts take no row lock, so another transaction's uncommitted
+        # insert may sit on the chain; in-flight versions are above every
+        # committed one, so the walk ends at the first committed creator.
+        committed = self.clog._commit_ts
         for version in heap.versions(key):
-            status = self.clog.status(version.xmin) if self.clog.known(version.xmin) \
-                else TxnStatus.COMMITTED
-            if status in (TxnStatus.IN_PROGRESS, TxnStatus.PREPARED) \
-                    and version.xmin != txid and version.xmax is None:
+            if version.xmin in committed:
+                break
+            if version.xmax is None:
                 raise DuplicateKeyError(
                     f"concurrent insert of key {key} in {table}")
         version = RowVersion(key=key, data=dict(row), xmin=txid)
@@ -293,7 +287,7 @@ class StorageEngine:
         None if the row does not exist (or is deleted).
         """
         heap = self.table(table)
-        current = self._current_for_write(heap, key, txid)
+        current = self.current_for_write(heap, key, txid)
         if current is None:
             return None
         new_data = dict(current.data)
@@ -317,7 +311,7 @@ class StorageEngine:
         """Delete the latest committed version of ``key``. Caller holds the
         row lock. Returns True if a row was deleted."""
         heap = self.table(table)
-        current = self._current_for_write(heap, key, txid)
+        current = self.current_for_write(heap, key, txid)
         if current is None:
             return False
         current.xmax = txid
@@ -332,32 +326,26 @@ class StorageEngine:
         self.wal.append(record)
         return True
 
-    def _current_for_write(self, heap: HeapTable, key: tuple,
-                           txid: int) -> RowVersion | None:
-        """The version a write should target: the transaction's own latest
-        un-ended write if any, else the latest committed version."""
-        for version in heap.versions(key):
-            if version.xmin == txid and version.xmax is None:
-                return version
-        return self._latest_committed(heap, key)
+    def current_for_write(self, heap: HeapTable, key: tuple,
+                          txid: int) -> RowVersion | None:
+        """The version a write by ``txid`` targets: its own un-ended write,
+        else the committed version no committed transaction has ended.
 
-    def _latest_committed(self, heap: HeapTable, key: tuple) -> RowVersion | None:
-        """Latest committed, un-superseded version of ``key``."""
-        best: RowVersion | None = None
-        best_ts = -1
+        By the chain invariant (see :mod:`repro.storage.heap`) at most one
+        version qualifies, so the newest-first walk returns at the first
+        that does — the head or its neighbour on a live key, however long
+        the chain. An ``xmax`` the commit log no longer knows was pruned by
+        vacuum, which only forgets finished transactions."""
+        committed = self.clog._commit_ts
         for version in heap.versions(key):
-            created_ts = self.clog.commit_ts(version.xmin)
-            if created_ts is None:
-                continue
-            if version.xmax is not None:
-                end_status = (self.clog.status(version.xmax)
-                              if self.clog.known(version.xmax) else TxnStatus.COMMITTED)
-                if end_status is TxnStatus.COMMITTED:
-                    continue
-            if created_ts > best_ts:
-                best = version
-                best_ts = created_ts
-        return best
+            xmax = version.xmax
+            if xmax is None:
+                if version.xmin == txid or version.xmin in committed:
+                    return version
+            elif (version.xmin in committed and xmax not in committed
+                    and self.clog.known(xmax)):
+                return version
+        return None
 
     # ------------------------------------------------------------------
     # Vacuum (MVCC garbage collection)
@@ -370,8 +358,6 @@ class StorageEngine:
         (the "snapshot too old" horizon); it must comfortably exceed the
         clock error bound and any replica staleness bound in use.
         """
-        from repro.storage.vacuum import vacuum_tables
-
         horizon = self.last_commit_ts - retention_ns
         return vacuum_tables(self._tables, self.clog, horizon)
 
@@ -386,18 +372,15 @@ class StorageEngine:
         base backup before benchmarking); nothing is written to the WAL, so
         replicas must be loaded the same way.
         """
-        from repro.storage.clog import TxnStatus as _TxnStatus
-        from repro.storage.heap import RowVersion as _RowVersion
-
         schema = self.catalog.table(table)
         heap = self.table(table)
         self.clog.ensure(0)
-        if self.clog.status(0) is not _TxnStatus.COMMITTED:
+        if self.clog.status(0) is not TxnStatus.COMMITTED:
             self.clog.commit(0, load_ts)
         count = 0
         for row in rows:
             key = schema.key_of(row)
-            heap.add_version(_RowVersion(key=key, data=dict(row), xmin=0))
+            heap.add_version(RowVersion(key=key, data=dict(row), xmin=0))
             count += 1
         self._note_commit_ts(load_ts)
         return count

@@ -6,6 +6,19 @@ deleted, the transaction that ended it (``xmax``). Outcomes live in the
 commit log; the heap only stores ids, so replaying a commit record on a
 replica instantly flips the visibility of all that transaction's versions
 without touching them.
+
+Chain invariant. Within one key's chain, newest first: the versions of the
+(at most one) transaction in flight on the key come first, its un-ended
+write at the head; then the committed versions in commit order, of which
+only the newest can be un-ended — every older one was ended by the creator
+of the version above it. An aborted transaction leaves nothing behind. The
+heap does not enforce this; its writers do. On a primary the row lock
+serializes writers of a key (and ``StorageEngine.insert`` refuses a key with
+a live or in-flight version); on a replica redo is applied in LSN order,
+which replays the primary's order. Write, replay and vacuum walks rely on it
+to stop at the first version that decides their answer instead of scanning
+the chain; snapshot reads below the head do not, and walk down to their
+timestamp.
 """
 
 from __future__ import annotations
@@ -18,9 +31,10 @@ from repro.storage.clog import CommitLog
 from repro.storage.snapshot import Snapshot
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class RowVersion:
-    """One version of a row."""
+    """One version of a row. Versions are chain nodes: they compare by
+    identity, never by field values."""
 
     key: tuple
     data: dict
@@ -140,12 +154,26 @@ class HeapTable:
         self._index_add(version)
 
     def remove_version(self, version: RowVersion) -> None:
-        """Physically remove a version (rollback of an aborted insert)."""
+        """Physically remove this version object (rollback of an aborted
+        write, which finds it at the head of its chain)."""
         chain = self._rows.get(version.key)
-        if chain and version in chain:
-            chain.remove(version)
+        if chain is not None:
+            try:
+                chain.remove(version)
+            except ValueError:
+                return
             if not chain:
                 del self._rows[version.key]
+
+    def truncate(self, key: tuple, keep: int) -> int:
+        """Drop all but the newest ``keep`` versions of ``key`` (vacuum);
+        returns how many were dropped."""
+        chain = self._rows[key]
+        dropped = len(chain) - keep
+        del chain[keep:]
+        if not chain:
+            del self._rows[key]
+        return dropped
 
     # ------------------------------------------------------------------
     # Reads

@@ -56,34 +56,21 @@ def vacuum_heap(heap: HeapTable, clog: CommitLog, horizon: int) -> VacuumStats:
     whose creator or deleter is unresolved are always retained."""
     stats = VacuumStats()
     for key in list(heap.keys()):
-        chain = heap.versions(key)
-        keep_through = None  # index of the horizon-visible version
-        for index, version in enumerate(chain):
-            created = _commit_ts_of(clog, version.xmin)
+        for keep, anchor in enumerate(heap.versions(key)):
+            created = _commit_ts_of(clog, anchor.xmin)
             if created is not None and created <= horizon:
-                keep_through = index
-                break
-        if keep_through is None:
+                break  # the horizon-visible version; all above it stay
+        else:
             continue  # every version is above the horizon or unresolved
-        anchor = chain[keep_through]
-        # Is the anchor itself dead (deleted at or below the horizon)?
-        anchor_dead = False
-        if anchor.xmax is not None:
-            ended = _commit_ts_of(clog, anchor.xmax)
-            anchor_dead = ended is not None and ended <= horizon
-        first_drop = keep_through if anchor_dead else keep_through + 1
-        doomed = chain[first_drop:]
-        for version in doomed:
-            heap.remove_version(version)
-            stats.versions_removed += 1
-        # Freeze survivors that committed at or below the horizon so their
-        # clog entries become prunable.
-        for version in heap.versions(key):
-            if version.xmin != 0:
-                created = _commit_ts_of(clog, version.xmin)
-                if created is not None and created <= horizon:
-                    version.xmin = 0
-                    stats.versions_frozen += 1
+        ended = None if anchor.xmax is None else _commit_ts_of(clog, anchor.xmax)
+        if ended is None or ended > horizon:
+            # Still visible at the horizon: keep it, frozen so that its
+            # clog entry becomes prunable. Nothing above it needs freezing.
+            keep += 1
+            if anchor.xmin != 0:
+                anchor.xmin = 0
+                stats.versions_frozen += 1
+        stats.versions_removed += heap.truncate(key, keep)
     return stats
 
 

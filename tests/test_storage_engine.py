@@ -114,6 +114,14 @@ class TestInsertReadVisibility:
         with pytest.raises(DuplicateKeyError):
             engine.insert(11, "accounts", {"id": 1, "balance": 2, "owner": "b"})
 
+    def test_own_uncommitted_insert_is_a_duplicate(self):
+        env, engine = make_engine()
+        engine.begin(10)
+        engine.insert(10, "accounts", {"id": 1, "balance": 1, "owner": "a"})
+        with pytest.raises(DuplicateKeyError):
+            engine.insert(10, "accounts", {"id": 1, "balance": 2, "owner": "a"})
+        assert len(engine.table("accounts").versions((1,))) == 1
+
     def test_reinsert_after_delete(self):
         env, engine = make_engine()
         engine.begin(10)

@@ -3,36 +3,82 @@ snapshot at or above the horizon can read."""
 
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import DuplicateKeyError
 from repro.sim import Environment
 from repro.storage import ColumnDef, Snapshot, StorageEngine, TableSchema
 
 
-def build_history(operations):
-    """Apply a random operation history; return (engine, max_ts)."""
+def build_history(operations, engine_cls=StorageEngine):
+    """Apply a random lock-disciplined history; return (engine, max_ts).
+
+    ``operations`` is a list of ``(key, op, outcome)``. ``op`` is
+    ``"upsert"``, ``"delete"`` or ``"insert"`` (one statement on ``key``;
+    a bare insert takes no lock), ``"vacuum"`` (retention
+    ``(key - 1) * 10``) or ``"finish"`` (end the open transaction with
+    ``outcome``). ``outcome`` is ``True`` / ``"commit"``,
+    ``False`` / ``"abort"``, ``"prepare_commit"``, ``"prepare_abort"``, or
+    ``"hold"``: the statement belongs to the one open multi-statement
+    transaction, which is begun if there is none and is left in flight if
+    nothing finishes it. Every other statement is its own transaction.
+    Upserts and deletes take the row lock first, as a data node does; a
+    statement that would wait for the open transaction's lock is skipped.
+    """
     env = Environment()
-    engine = StorageEngine(env, "dn")
+    engine = engine_cls(env, "dn")
     engine.create_table(TableSchema(
         "t", [ColumnDef("k", "int"), ColumnDef("v", "int")], ("k",)))
     ts = 0
-    txid = 0
-    for key, op, commit in operations:
-        txid += 1
-        ts += 10
-        engine.begin(txid)
-        did_something = False
-        if op == "upsert":
-            if engine.update(txid, "t", (key,), {"v": ts}) is not None:
-                did_something = True
-            else:
-                engine.insert(txid, "t", {"k": key, "v": ts})
-                did_something = True
-        else:  # delete
-            did_something = engine.delete(txid, "t", (key,))
-        if commit and did_something:
+    next_txid = 0
+    open_txid = None
+
+    def finish(txid, outcome, did_something):
+        if outcome in (True, "commit") and did_something:
             engine.log_pending_commit(txid)
             engine.commit(txid, ts)
-        else:
+        elif outcome in (False, "abort") or not did_something:
             engine.abort(txid)
+        else:
+            engine.prepare(txid)
+            if outcome == "prepare_commit":
+                engine.commit_prepared(txid, ts)
+            else:
+                engine.abort_prepared(txid)
+
+    for key, op, outcome in operations:
+        ts += 10
+        if op == "vacuum":
+            engine.vacuum(retention_ns=(key - 1) * 10)
+            continue
+        if op == "finish":
+            if open_txid is not None and outcome != "hold":
+                finish(open_txid, outcome, True)
+                open_txid = None
+            continue
+        if outcome == "hold" and open_txid is not None:
+            txid = open_txid
+        else:
+            next_txid += 1
+            txid = next_txid
+            engine.begin(txid)
+            if outcome == "hold":
+                open_txid = txid
+        did_something = False
+        if op == "insert" or engine.locks.holder("t", (key,)) in (None, txid):
+            if op != "insert":
+                engine.locks.acquire(txid, "t", (key,))
+            if op == "delete":
+                did_something = engine.delete(txid, "t", (key,))
+            elif (op == "upsert" and
+                    engine.update(txid, "t", (key,), {"v": ts}) is not None):
+                did_something = True
+            else:
+                try:
+                    engine.insert(txid, "t", {"k": key, "v": ts})
+                    did_something = True
+                except DuplicateKeyError:
+                    pass  # the key is live, or inserted by the open txn
+        if txid != open_txid:
+            finish(txid, outcome, did_something)
     return engine, ts
 
 
