@@ -362,7 +362,7 @@ class DataNode(ClusterNode):
         _kind, from_lsn = request.body
         records = self.engine.wal.records_from(from_lsn)
         request.reply(records, size_bytes=max(128, sum(
-            record.size_bytes() for record in records)))
+            record.wire_bytes for record in records)))
 
     # ------------------------------------------------------------------
     # Reads (primary)

@@ -98,16 +98,13 @@ class LogShipper:
         self.widened_windows = 0
         self.paused = False
         self._batch_opened_at = env.now
-        # Generation counter for flush timers: arming bumps it, and a
-        # firing timer whose generation is stale (superseded by a size
-        # flush, a pause, or a re-arm) is a no-op. This is how a plain
-        # ``defer`` gets cancellation without a process or extra events.
-        self._flush_gen = 0
-        self._timer_armed = False
+        #: Kernel handle of the armed flush timer; a size flush or a
+        #: pause withdraws it.
+        self._timer = None
         # Catch up on anything already in the WAL, then follow appends.
         for record in wal.records_from(0):
             self._pending.append(record)
-            self._pending_bytes += record.size_bytes()
+            self._pending_bytes += record.wire_bytes
         wal.subscribe(self._on_append)
         if self._pending:
             if self._pending_bytes >= self.config.max_batch_bytes:
@@ -120,13 +117,13 @@ class LogShipper:
         if not self._pending:
             self._batch_opened_at = self.env.now
         self._pending.append(record)
-        self._pending_bytes += record.size_bytes()
+        self._pending_bytes += record.wire_bytes
         if self.paused:
             return  # hold records; resume() restarts the window
         if self._pending_bytes >= self.config.max_batch_bytes:
             self._cancel_timer()
             self._flush()
-        elif not self._timer_armed:
+        elif self._timer is None:
             self._arm(self._window_ns())
 
     def _window_ns(self) -> int:
@@ -141,18 +138,16 @@ class LogShipper:
         return base * min(widen, self.config.max_widen)
 
     def _arm(self, delay_ns: int) -> None:
-        self._flush_gen += 1
-        self._timer_armed = True
-        self.env.defer(delay_ns, self._on_timer, self._flush_gen)
+        self._cancel_timer()
+        self._timer = self.env.defer(delay_ns, self._on_timer, None)
 
     def _cancel_timer(self) -> None:
-        self._flush_gen += 1
-        self._timer_armed = False
+        if self._timer is not None:
+            self.env.withdraw(self._timer)
+            self._timer = None
 
-    def _on_timer(self, gen: int) -> None:
-        if gen != self._flush_gen:
-            return  # superseded
-        self._timer_armed = False
+    def _on_timer(self, _arg) -> None:
+        self._timer = None
         if not self.paused:
             self._flush()
 

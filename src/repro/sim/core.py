@@ -35,7 +35,9 @@ heap. The invariant it preserves is the heap kernel's total order —
 Advancing the clock pops the smallest timestamp and swaps its buckets in
 as the new lanes. Because time only moves forward and same-time work goes
 straight to the lanes, a timestamp can never be scheduled again after its
-tick ran — no stale-entry pruning is needed.
+tick ran — no stale-entry pruning is needed. A timestamp whose bucket
+:meth:`Environment.withdraw` emptied stays on the heap (and is pushed again
+if reused); ``_advance`` runs a timestamp without a bucket as an empty tick.
 
 Other hot-path notes:
 
@@ -47,7 +49,8 @@ Other hot-path notes:
 - :meth:`Environment.defer` schedules a bare ``fn(arg)`` call without
   allocating an :class:`Event`, a callbacks list, or a closure — the
   network's delivery path uses it for every message. Fired ``_Call``
-  entries are recycled through a free list.
+  entries are recycled through a free list; :meth:`Environment.withdraw`
+  takes an unfired one back, so a deadline ends with its request.
 - The ``run`` loops inline the dispatch (no per-event ``step()`` call).
 - ``metrics_on`` / ``trace_on`` cache the observability toggles;
   ``hooks_net`` / ``hooks_txn`` fold them (plus ``san``/``history``) into
@@ -72,10 +75,10 @@ from repro.sim.events import Event, Interrupt, Timeout, PRIORITY_NORMAL, PRIORIT
 class _Call:
     """A queue entry that invokes ``fn(arg)`` when it fires — the
     allocation-free alternative to a triggered :class:`Event` with one
-    callback. Only the kernel touches these; they are invisible to
-    processes (nothing can wait on one)."""
+    callback; nothing can wait on one. ``when`` is the tick ``defer``
+    queued it for, which is where ``withdraw`` looks for it."""
 
-    __slots__ = ("fn", "arg")
+    __slots__ = ("fn", "arg", "when")
 
     def __init__(self, fn, arg):
         self.fn = fn
@@ -94,6 +97,10 @@ class _StartSignal:
 
 
 _START = _StartSignal()
+
+
+def _withdrawn(_arg) -> None:
+    """What a withdrawn entry already in the current tick's lanes runs."""
 
 
 class Process(Event):
@@ -368,8 +375,8 @@ class Environment:
         """Schedule ``fn(arg)`` to run ``delay`` ns from now at normal
         priority, without allocating an Event. Consumes one sequence
         number, exactly like scheduling an event would. Fired entries are
-        recycled, so holders of a returned ``_Call`` may only mutate it
-        while it is provably unfired (see the network's coalescing guard).
+        recycled, so whoever keeps the returned ``_Call`` (to
+        :meth:`withdraw` it) must drop it when ``fn`` runs.
         """
         pool = self._call_pool
         if pool:
@@ -380,9 +387,10 @@ class Environment:
             call = _Call(fn, arg)
         self._seq += 1
         if delay <= 0:
+            call.when = self.now
             self._lane_normal.append(call)
             return call
-        when = self.now + delay
+        call.when = when = self.now + delay
         buckets = self._buckets
         bucket = buckets.get(when)
         if bucket is None:
@@ -392,6 +400,27 @@ class Environment:
         else:
             bucket.append(call)
         return call
+
+    def withdraw(self, call: _Call) -> None:
+        """Take back an unfired :meth:`defer`: ``fn`` will not run.
+
+        Only the holder of the handle may call this, once, and only while
+        the entry is unfired — the rule ``defer`` states. A future entry
+        leaves its bucket and is recycled at once (an emptied bucket is
+        deleted; its timestamp stays on the heap as an empty tick). An
+        entry whose tick is already in the lanes stays where it is and
+        fires as a no-op. No sequence number is consumed or returned.
+        """
+        bucket = self._buckets.get(call.when)
+        if bucket is None:
+            call.fn = _withdrawn
+            call.arg = None
+            return
+        bucket.remove(call)
+        if not bucket:
+            del self._buckets[call.when]
+        call.fn = call.arg = None
+        self._call_pool.append(call)
 
     def _advance(self, when: int) -> None:
         """Move the clock to ``when`` and swap that tick's buckets in as
@@ -415,7 +444,7 @@ class Environment:
         self._cursor_normal = 0
 
     def peek(self) -> int | None:
-        """Time of the next scheduled event, or None if the queue is empty."""
+        """Time of the next tick (``withdraw`` may have emptied it), or None."""
         if (self._cursor_urgent < len(self._lane_urgent)
                 or self._cursor_normal < len(self._lane_normal)):
             return self.now

@@ -87,6 +87,14 @@ class Request:
             size_bytes=64)
 
 
+class _Reply(Event):
+    """The caller's side of one RPC: the event :meth:`Network.request`
+    returns, plus the kernel handle of its deadline while that is armed
+    (withdrawn when the reply is consumed, dropped when it fires)."""
+
+    __slots__ = ("dst", "deadline")
+
+
 class Endpoint:
     """A named, addressable participant on the network."""
 
@@ -108,8 +116,7 @@ class Link:
     serialization queue."""
 
     __slots__ = ("latency_ns", "bandwidth_bps", "jitter_ns", "extra_delay_ns",
-                 "blocked", "busy_until", "bytes_sent", "messages_sent",
-                 "_sched_at", "_sched_seq", "_sched_call")
+                 "blocked", "busy_until", "bytes_sent", "messages_sent")
 
     def __init__(self, latency_ns: int, bandwidth_bps: float, jitter_ns: int = 0):
         self.latency_ns = latency_ns
@@ -120,11 +127,6 @@ class Link:
         self.busy_until = 0  # serialization queue tail
         self.bytes_sent = 0
         self.messages_sent = 0
-        # Last scheduled delivery on this link, for same-instant coalescing:
-        # deliver time, env._seq at push time, and the kernel _Call entry.
-        self._sched_at = -1
-        self._sched_seq = -1
-        self._sched_call = None
 
     def transmission_ns(self, size_bytes: int) -> int:
         """Time to clock ``size_bytes`` onto the wire."""
@@ -261,7 +263,6 @@ class Network:
         if dst not in endpoints:
             raise NetworkError(f"unknown destination endpoint: {dst}")
         now = env.now
-        link = None
         if src == dst:
             deliver_at = now
         else:
@@ -309,39 +310,7 @@ class Network:
             # Fingerprint the payload as it leaves the sender; _deliver
             # re-verifies it just before the handler runs.
             san.on_message_send(message)
-        if link is not None:
-            # Same-link same-instant coalescing: if the link's previous
-            # delivery entry lands at the same instant AND nothing has been
-            # scheduled since it was pushed (env._seq unchanged), this
-            # message would have received the very next sequence number —
-            # so appending it to that entry delivers it in exactly the slot
-            # it would have occupied anyway. Bit-identical history, one
-            # fewer queue entry (redo-log bursts hit this constantly).
-            # The strictly-future condition is load-bearing twice over: a
-            # same-tick (deliver_at == now) entry may have already fired —
-            # appending would silently drop the message — and a fired entry
-            # may have been recycled through the kernel's _Call pool. A
-            # future entry can have done neither without the clock moving
-            # or env._seq changing, both of which fail this guard.
-            if (link._sched_at == deliver_at and deliver_at > now
-                    and link._sched_seq == env._seq):
-                call = link._sched_call
-                if call.fn is self._deliver:
-                    call.fn = self._deliver_batch
-                    call.arg = [call.arg, message]
-                else:
-                    call.arg.append(message)
-                return
-            link._sched_call = env.defer(deliver_at - now, self._deliver, message)
-            link._sched_at = deliver_at
-            link._sched_seq = env._seq
-            return
         env.defer(deliver_at - now, self._deliver, message)
-
-    def _deliver_batch(self, messages: list[Message]) -> None:
-        deliver = self._deliver
-        for message in messages:
-            deliver(message)
 
     def _deliver(self, message: Message) -> None:
         san = self.env.san
@@ -371,6 +340,10 @@ class Network:
                 self._msg_pool.append(message)
             if reply_event.triggered:
                 return  # caller timed out / gave up
+            deadline = reply_event.deadline
+            if deadline is not None:
+                reply_event.deadline = None
+                self.env.withdraw(deadline)
             if kind == "__rpc_reply__":
                 reply_event.succeed(value)
             else:
@@ -387,7 +360,8 @@ class Network:
         If the destination is down at send time, or ``timeout_ns`` elapses
         first, the event fails with :class:`NetworkError`.
         """
-        reply_event = Event(self.env)
+        reply_event = _Reply(self.env)
+        reply_event.deadline = None
         destination = self.endpoint(dst)
         if not destination.up:
             reply_event.fail(NetworkError(f"endpoint {dst} is down"))
@@ -396,17 +370,14 @@ class Network:
         request = Request(self, src, dst, body, reply_event)
         self.send(src, dst, payload=request, size_bytes=size_bytes)
         if timeout_ns is not None:
-            self._arm_timeout(reply_event, timeout_ns, dst)
+            reply_event.dst = dst
+            reply_event.deadline = self.env.defer(timeout_ns, self._expire, reply_event)
         return reply_event
 
-    def _arm_timeout(self, reply_event: Event, timeout_ns: int, dst: str) -> None:
-        timer = self.env.timeout(timeout_ns)
-
-        def on_timer(_ev: Event) -> None:
-            if not reply_event.triggered:
-                reply_event.fail(NetworkError(f"RPC to {dst} timed out"))
-
-        timer.add_callback(on_timer)
+    def _expire(self, reply_event: "_Reply") -> None:
+        reply_event.deadline = None  # fired: the kernel recycles the entry
+        if not reply_event.triggered:
+            reply_event.fail(NetworkError(f"RPC to {reply_event.dst} timed out"))
 
 
 @dataclass

@@ -23,6 +23,15 @@ class _LockState:
     waiters: deque = field(default_factory=deque)  # of (txid, Event)
 
 
+class _Wait(Event):
+    """What :meth:`LockTable.acquire` returns: the grant event, plus —
+    while the request waits in a queue — who waits for what and the
+    kernel handle of the wait deadline (withdrawn by the grant, dropped
+    when it fires)."""
+
+    __slots__ = ("txid", "lock_key", "deadline")
+
+
 class LockTable:
     """Row-granularity exclusive locks for one shard."""
 
@@ -48,7 +57,7 @@ class LockTable:
         """
         lock_key = (table, key)
         env = self.env
-        done = Event(env)
+        done = _Wait(env)
         state = self._locks.get(lock_key)
         san = env.san
         if state is None:
@@ -74,40 +83,39 @@ class LockTable:
                 return done
         self.wait_count += 1
         state.waiters.append((txid, done))
-        self._arm_timeout(done, lock_key, txid,
-                          timeout_ns if timeout_ns is not None else self.default_timeout_ns)
+        done.txid = txid
+        done.lock_key = lock_key
+        done.deadline = env.defer(
+            timeout_ns if timeout_ns is not None else self.default_timeout_ns,
+            self._expire, done)
         return done
 
-    def _arm_timeout(self, done: Event, lock_key: tuple, txid: int,
-                     timeout_ns: int) -> None:
-        timer = self.env.timeout(timeout_ns)
-
-        def on_timer(_ev: Event) -> None:
-            if done.triggered:
-                return
-            state = self._locks.get(lock_key)
-            if state is not None:
-                state.waiters = deque(
-                    (waiting_txid, event) for waiting_txid, event in state.waiters
-                    if event is not done)
-            env = self.env
-            san = env.san
-            if san is not None:
-                san.on_lock_wait_aborted(self, txid)
-            # Classify the abort: a timeout whose waiter sat on a wait-for
-            # cycle was really a deadlock the timeout happened to break.
-            if self._part_of_cycle(txid, lock_key):
-                self.deadlock_count += 1
-                if env.series_on:
-                    env.series.counter("lock.deadlocks", 1)
-            else:
-                self.timeout_count += 1
-                if env.series_on:
-                    env.series.counter("lock.timeouts", 1)
-            done.fail(WriteConflict(
-                f"lock wait timeout on {lock_key[0]}{lock_key[1]} (txn {txid})"))
-
-        timer.add_callback(on_timer)
+    def _expire(self, done: "_Wait") -> None:
+        done.deadline = None  # fired: the kernel recycles the entry
+        if done.triggered:
+            return
+        lock_key, txid = done.lock_key, done.txid
+        state = self._locks.get(lock_key)
+        if state is not None:
+            state.waiters = deque(
+                (waiting_txid, event) for waiting_txid, event in state.waiters
+                if event is not done)
+        env = self.env
+        san = env.san
+        if san is not None:
+            san.on_lock_wait_aborted(self, txid)
+        # Classify the abort: a timeout whose waiter sat on a wait-for
+        # cycle was really a deadlock the timeout happened to break.
+        if self._part_of_cycle(txid, lock_key):
+            self.deadlock_count += 1
+            if env.series_on:
+                env.series.counter("lock.deadlocks", 1)
+        else:
+            self.timeout_count += 1
+            if env.series_on:
+                env.series.counter("lock.timeouts", 1)
+        done.fail(WriteConflict(
+            f"lock wait timeout on {lock_key[0]}{lock_key[1]} (txn {txid})"))
 
     def _part_of_cycle(self, txid: int, lock_key: tuple) -> bool:
         """Was ``txid`` (about to abort its wait on ``lock_key``) part of a
@@ -158,6 +166,8 @@ class LockTable:
             self._held.setdefault(next_txid, set()).add(lock_key)
             if san is not None:
                 san.on_lock_granted(self, next_txid, lock_key)
+            self.env.withdraw(event.deadline)
+            event.deadline = None
             event.succeed(True)
             return
         del self._locks[lock_key]

@@ -49,10 +49,14 @@ def _row_bytes(row: typing.Mapping[str, typing.Any] | None) -> int:
 
 @dataclass(slots=True)
 class RedoRecord:
-    """Base redo record. ``lsn`` is assigned when appended to the WAL."""
+    """Base redo record. ``lsn`` is assigned when appended to the WAL, and
+    ``wire_bytes`` — :meth:`size_bytes` as of that moment — with it, so the
+    WAL and every shipper read one number instead of each re-walking the
+    row."""
 
     txid: int
     lsn: int = field(default=0, kw_only=True)
+    wire_bytes: int = field(default=0, kw_only=True, compare=False, repr=False)
 
     def size_bytes(self) -> int:
         return RECORD_HEADER_BYTES

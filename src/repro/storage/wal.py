@@ -50,11 +50,13 @@ class WalBuffer:
         return self._next_lsn - 1
 
     def append(self, record: RedoRecord) -> int:
-        """Assign an LSN, store the record, notify subscribers."""
+        """Assign an LSN, stamp the wire size, store the record, notify
+        subscribers."""
         record.lsn = self._next_lsn
         self._next_lsn += 1
         self._records.append(record)
-        self.bytes_written += record.size_bytes()
+        record.wire_bytes = size = record.size_bytes()
+        self.bytes_written += size
         for subscriber in self._subscribers:
             subscriber(record)
         return record.lsn

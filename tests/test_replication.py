@@ -87,6 +87,26 @@ class TestShipping:
         env.run(until=ms(30))
         assert shipper.flushes >= 1
 
+    def test_size_flush_withdraws_the_window_timer(self):
+        # A batch that fills up flushes at once and takes its window timer
+        # with it: what is appended next opens a full window of its own
+        # instead of riding the old timer's remainder.
+        config = ShipperConfig(transport=ShipperConfig.optimized().transport,
+                               max_batch_bytes=600, flush_interval_ns=ms(1))
+        env, _net, engine, _store, _rep, shipper, _acks = make_pair(config)
+        env.run(until=ms(2))
+        assert shipper.flushes == 1  # the CREATE TABLE record
+        commit_row(engine, 1, 1, "a", ts=100)  # arms a timer for 3.0 ms
+        env.run(until=us(2500))
+        commit_row(engine, 2, 2, "v" * 600, ts=101)  # the insert overflows
+        assert shipper.flushes == 2
+        env.run(until=us(3400))  # past the withdrawn timer
+        assert shipper.flushes == 2
+        env.run(until=us(3510))  # txn 2's commit records: 2.5 ms + window
+        assert shipper.flushes == 3
+        # The WAL and the shipper read the one size stamped at append.
+        assert shipper.payload_bytes_total == engine.wal.bytes_written
+
     def test_compression_reduces_wire_bytes(self):
         env, _net, engine, _store, _rep, shipper, _acks = make_pair(
             ShipperConfig.optimized())

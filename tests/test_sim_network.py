@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError, SimulationError
-from repro.sim import Environment, ms, us
+from repro.sim import Environment, ms, seconds, us
 from repro.sim.network import Network
 
 
@@ -59,14 +59,15 @@ def test_rpc_timeout_fires():
     net.set_handler("b", lambda msg: None)  # never replies
 
     def client():
+        yield env.timeout(ms(3))
         try:
             yield net.request("a", "b", "x", timeout_ns=ms(10))
         except NetworkError as exc:
             return str(exc), env.now
 
     message, when = env.run(until=env.process(client()))
-    assert "timed out" in message
-    assert when == ms(10)
+    assert message == "RPC to b timed out"
+    assert when == ms(3) + ms(10)  # exactly send + timeout_ns
 
 
 def test_message_to_down_endpoint_is_dropped():
@@ -157,13 +158,97 @@ def test_late_rpc_reply_after_timeout_is_ignored():
     net.set_handler("b", slow_server)
     outcomes = []
 
+    # Once the deadline has fired its queue entry is recycled: these
+    # defers reuse the shell, and the late reply must not withdraw them.
+    reused = []
+
     def client():
         try:
             value = yield net.request("a", "b", "x", timeout_ns=ms(30))
             outcomes.append(("ok", value))
         except NetworkError:
             outcomes.append(("timeout", env.now))
+            for index in range(8):
+                env.defer(ms(200), reused.append, index)
 
     env.process(client())
     env.run()
     assert outcomes == [("timeout", ms(30))]
+    assert reused == list(range(8))
+
+
+def test_reply_in_the_deadline_tick_loses_to_the_deadline():
+    # The deadline is armed at send time, so inside its tick it runs before
+    # a reply delivery scheduled later: the caller sees the timeout.
+    env, net = make_net()
+    net.set_link("a", "b", latency_ns=ms(25), bandwidth_bps=0)  # rtt = 50 ms
+    net.set_handler("b", lambda msg: msg.payload.reply("pong"))
+    outcomes = []
+
+    def client():
+        try:
+            outcomes.append((yield net.request("a", "b", "x", timeout_ns=ms(50))))
+        except NetworkError as exc:
+            outcomes.append((str(exc), env.now))
+
+    env.process(client())
+    env.run()
+    assert outcomes == [("RPC to b timed out", ms(50))]
+    assert net.messages_delivered == 2  # the reply did arrive, and was ignored
+
+
+@pytest.mark.parametrize("answer", ["reply", "fail"])
+def test_completed_rpc_leaves_no_deadline_behind(answer):
+    env, net = make_net()
+    if answer == "reply":
+        net.set_handler("b", lambda msg: msg.payload.reply("pong"))
+    else:
+        net.set_handler("b", lambda msg: msg.payload.fail(NetworkError("refused")))
+    outcomes = []
+
+    def client():
+        try:
+            outcomes.append((yield net.request("a", "b", "x", timeout_ns=seconds(2))))
+        except NetworkError as exc:
+            outcomes.append(str(exc))
+        assert not env._buckets  # the deadline ended with the request
+        outcomes.append(env.now)
+
+    env.process(client())
+    env.run()
+    assert outcomes[0] == ("pong" if answer == "reply" else "refused")
+    assert ms(50) <= outcomes[1] < ms(50.1)
+    assert env.now == seconds(2)  # the bare timestamp is still walked
+
+
+def test_timed_round_trips_retain_only_in_flight_entries():
+    # Counted, not timed: 10 000 answered RPCs under an hour-long deadline
+    # must not leave 10 000 timers in the calendar queue.
+    env, net = make_net()
+    net.set_handler("b", lambda msg: msg.payload.reply(msg.payload.body))
+    high_water = [0, 0]
+
+    def client():
+        for index in range(10_000):
+            value = yield net.request("a", "b", index, timeout_ns=seconds(3600))
+            assert value == index
+            entries = sum(len(bucket) for bucket in env._buckets.values())
+            high_water[0] = max(high_water[0], entries)
+            high_water[1] = max(high_water[1], len(env._buckets))
+
+    env.run(until=env.process(client()))
+    assert high_water == [0, 0]
+
+
+def test_two_sends_landing_at_one_instant_are_both_delivered_in_order():
+    # Zero transmission time puts back-to-back sends on one link at the
+    # same delivery instant; they stay two queue entries.
+    env, net = make_net()
+    net.set_link("a", "b", latency_ns=ms(25), bandwidth_bps=0)
+    arrivals = []
+    net.set_handler("b", lambda msg: arrivals.append((msg.payload, env.now)))
+    net.send("a", "b", "first")
+    net.send("a", "b", "second")
+    env.run()
+    assert arrivals == [("first", ms(25)), ("second", ms(25))]
+    assert env.events_scheduled == 2

@@ -482,10 +482,11 @@ class TestRuntimeMutation:
         assert replies == ["pong"]
         assert san.report.findings == []
 
-    def test_same_tick_coalesced_batch_checked(self):
-        # Two sends in the same tick coalesce into one delivery batch;
-        # both payloads must still be verified.
+    def test_deliveries_landing_at_one_instant_each_checked(self):
+        # Zero transmission time lands two back-to-back sends at the same
+        # instant; they are two deliveries and both payloads are verified.
         env, san, net = self.build_net()
+        net.set_link("a", "b", latency_ns=1000, bandwidth_bps=0)
         rows = [1]
         net.send("a", "b", payload=("batch", rows), size_bytes=64)
         net.send("a", "b", payload=("batch", [2]), size_bytes=64)

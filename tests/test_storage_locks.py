@@ -1,7 +1,7 @@
 """Unit tests for the row lock table."""
 
 from repro.errors import WriteConflict
-from repro.sim import Environment, ms
+from repro.sim import Environment, ms, seconds
 from repro.storage.locks import LockTable
 
 
@@ -54,16 +54,18 @@ def test_lock_wait_timeout_raises_write_conflict():
     outcome = []
 
     def waiter():
+        yield env.timeout(ms(3))
         try:
             yield locks.acquire(2, "t", (1,))
             outcome.append("granted")
-        except WriteConflict:
-            outcome.append(("timeout", env.now))
+        except WriteConflict as exc:
+            outcome.append((str(exc), env.now))
 
     env.process(waiter())
     env.run()
-    assert outcome == [("timeout", ms(20))]
-    assert locks.timeout_count == 1
+    # Exactly acquire + timeout, with the message callers match on.
+    assert outcome == [("lock wait timeout on t(1,) (txn 2)", ms(23))]
+    assert (locks.timeout_count, locks.deadlock_count) == (1, 0)
 
 
 def test_timed_out_waiter_skipped_on_release():
@@ -94,6 +96,53 @@ def test_timed_out_waiter_skipped_on_release():
     assert "2-timeout" in results
     assert ("3-granted", ms(10)) in results
     assert locks.holder("t", (1,)) == 3
+
+
+def test_grant_in_the_deadline_tick_wins_when_the_release_runs_first():
+    # The holder's timer was scheduled before the waiter's deadline, so at
+    # 20 ms the release runs first: the grant withdraws a deadline whose
+    # tick is already executing, which must then fire as a no-op.
+    env = Environment()
+    locks = LockTable(env, default_timeout_ns=ms(20))
+    locks.acquire(1, "t", (1,))
+    results = []
+
+    def holder():
+        yield env.timeout(ms(20))
+        locks.release_all(1)
+
+    def waiter():
+        yield locks.acquire(2, "t", (1,))
+        results.append(("granted", env.now))
+
+    env.process(holder())
+    env.process(waiter())
+    env.run()
+    assert results == [("granted", ms(20))]
+    assert locks.holder("t", (1,)) == 2
+    assert (locks.timeout_count, locks.deadlock_count) == (0, 0)
+
+
+def test_contended_grants_retain_only_in_flight_entries():
+    # Counted, not timed: 10 000 waits that end in a grant must not leave
+    # 10 000 wait deadlines in the calendar queue.
+    env = Environment()
+    locks = LockTable(env, default_timeout_ns=seconds(3600))
+    high_water = [0, 0]
+
+    def txn(me):
+        for turn in range(5_000):
+            yield locks.acquire((me, turn), "t", (1,))
+            yield env.timeout(1_000)  # the other side queues up meanwhile
+            locks.release_all((me, turn))
+            entries = sum(len(bucket) for bucket in env._buckets.values())
+            high_water[0] = max(high_water[0], entries)
+            high_water[1] = max(high_water[1], len(env._buckets))
+
+    first, second = env.process(txn(0)), env.process(txn(1))
+    env.run(until=env.all_of([first, second]))
+    assert locks.wait_count >= 9_999
+    assert max(high_water) <= 2  # the other side's sleep and wait deadline
 
 
 def test_release_all_frees_every_key():
