@@ -401,10 +401,9 @@ def ablation_ror(scale: Scale | None = None) -> ExperimentTable:
                               warmup_s=scale.warmup_s)
         ror_reads = sum(cn.ror_reads for cn in db.cns)
         fallback = sum(cn.primary_fallback_reads for cn in db.cns)
-        frontier = max(primary.engine.last_commit_ts
-                       for primary in db.primaries)
-        rcp = max(cn.rcp_state.rcp for cn in db.cns)
-        return result, ror_reads, fallback, ns_to_ms(max(0, frontier - rcp))
+        # 0 on the no-ROR row: no collector runs there, so there is no RCP.
+        return (result, ror_reads, fallback,
+                ns_to_ms(db.stats()["rcp_lag_ns"]))
 
     # --- routing sub-ablation (read-only workload) ---------------------
     for label, ror in [("skyline + replicas", True),

@@ -263,13 +263,20 @@ class GlobalDB:
 
     def stats(self) -> dict:
         """A cluster-wide observability snapshot (commits, reads, RCP,
-        replication, GTM traffic) — handy in examples and debugging."""
+        replication, GTM traffic) — handy in examples and debugging.
+
+        ``rcp`` and ``rcp_lag_ns`` are both 0 on a cluster without ROR:
+        no collector runs there, so there is no RCP to lag behind the
+        primaries' frontier."""
         replica_nodes = [replica for replica_list in self.replicas.values()
                          for replica in replica_list]
-        frontier = max((primary.engine.last_commit_ts
-                        for primary in self.primaries if primary.engine),
-                       default=0)
-        rcp = max((cn.rcp_state.rcp for cn in self.cns), default=0)
+        rcp = rcp_lag_ns = 0
+        if self.config.ror_enabled:
+            frontier = max((primary.engine.last_commit_ts
+                            for primary in self.primaries if primary.engine),
+                           default=0)
+            rcp = max((cn.rcp_state.rcp for cn in self.cns), default=0)
+            rcp_lag_ns = max(0, frontier - rcp)
         return {
             "sim_time_s": self.env.now / 1e9,
             "mode": str(self.gtm.mode),
@@ -280,7 +287,7 @@ class GlobalDB:
             "primary_reads": sum(cn.primary_fallback_reads for cn in self.cns),
             "gtm_requests": self.gtm.begin_requests + self.gtm.commit_requests,
             "rcp": rcp,
-            "rcp_lag_ns": max(0, frontier - rcp),
+            "rcp_lag_ns": rcp_lag_ns,
             "wal_bytes": sum(primary.engine.wal.bytes_written
                              for primary in self.primaries if primary.engine),
             "wire_bytes_shipped": sum(shipper.wire_bytes_total
@@ -304,7 +311,8 @@ def build_cluster(config: ClusterConfig) -> GlobalDB:
         rules = config.monitor_rules
         if rules is None and config.timeseries_enabled:
             rules = default_monitor_rules(
-                replicas_per_shard=config.replicas_per_shard)
+                replicas_per_shard=config.replicas_per_shard,
+                heartbeats=config.ror_enabled)
         enable_observability(env, metrics=config.metrics_enabled,
                              trace=config.trace_enabled,
                              max_spans=config.trace_max_spans,

@@ -6,7 +6,11 @@ one-phase and two-phase commits, and — when ROR is enabled — routes
 read-only queries to replicas chosen by the skyline at a snapshot pinned to
 the RCP.
 
-Background loops hosted here:
+Background loops hosted here — the ROR control plane (§IV-A/B). Their
+only readers are ``ro_snapshot`` and ``_choose_read_node``, so a CN built
+with ``ror_enabled=False`` (the paper's baseline) starts none of them and
+its cluster carries no ``status`` / ``max_commit_ts`` / ``heartbeat``
+traffic, no heartbeat-driven GTM requests and no heartbeat redo records:
 
 - **metrics refresh** — polls every data node's status to feed the skyline;
 - **RCP collection** — when this CN holds the collector role for its
@@ -124,6 +128,11 @@ class ComputingNode(ClusterNode):
     # Wiring & background loops (called by the builder)
     # ------------------------------------------------------------------
     def start_background(self, initial_collector: bool) -> None:
+        """Start the ROR control plane. Everything it maintains (skyline
+        metrics, the RCP, replica frontiers kept moving by heartbeats) is
+        read only by ROR queries, so without ROR nothing is started."""
+        if not self.config.ror_enabled:
+            return
         self.is_collector = initial_collector
         self._collector = RcpCollector(
             self.env, self.network, self.name,

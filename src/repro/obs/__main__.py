@@ -15,7 +15,7 @@ Commands:
   ``telemetry.json`` (written by ``run --telemetry``) or ``--telemetry``;
   ``--fail-on-error-alerts`` turns it into a CI gate.
 - ``summarize <trace.jsonl>`` — per-category span counts/durations of a
-  previously written trace.
+  previously written trace, and its network messages per commit by kind.
 - ``convert <in.jsonl> <out.json>`` — turn a JSONL span log into a Chrome
   trace-event file.
 """
@@ -27,7 +27,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.obs.report import RunReport
+from repro.obs.report import RunReport, messages_by_kind
 from repro.obs.trace import chrome_trace_dict, read_jsonl
 
 _MS = 1e6
@@ -185,6 +185,13 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     for cat in sorted(counts):
         print(f"  {cat.ljust(width)}  {counts[cat]:>8} spans  "
               f"{durations[cat] / _MS:>12.3f} ms total")
+    kinds, commits = messages_by_kind(spans)
+    if kinds:
+        print(f"{sum(kinds.values())} network messages for {commits} commits")
+        width = max(len(kind) for kind in kinds)
+        for kind, count in kinds.items():
+            print(f"  {kind.ljust(width)}  {count:>8} messages  "
+                  f"{count / max(1, commits):>10.2f} per commit")
     return 0
 
 

@@ -103,13 +103,18 @@ def alerts_digest(alerts: typing.Iterable[Alert | dict]) -> str:
 
 def default_monitor_rules(replicas_per_shard: int = 2,
                           staleness_bound_ns: int = 400_000_000,
-                          lag_records: int = 5_000) -> tuple[Rule, ...]:
+                          lag_records: int = 5_000,
+                          heartbeats: bool = True) -> tuple[Rule, ...]:
     """The default SLO set CI gates on. Thresholds are sized so a healthy
     run is silent: staleness in a live cluster stays well under the bound
     (the RCP advances every few ms), heartbeats keep every replica's
     frontier moving (no watchdog), and TPC-C abort rates are far below the
-    spike threshold."""
-    return (
+    spike threshold.
+
+    ``heartbeats=False`` is for a cluster without ROR: nothing advances an
+    idle replica's frontier there, so silence is not a fault and the
+    ``frontier-silent`` watchdog is left out."""
+    rules = (
         # The paper's headline promise: replica staleness stays bounded.
         Rule(name="staleness-bound", series="ror.staleness_ns", kind="above",
              severity="error", threshold=float(staleness_bound_ns)),
@@ -128,11 +133,13 @@ def default_monitor_rules(replicas_per_shard: int = 2,
         # The RCP stopped advancing while commits kept happening.
         Rule(name="rcp-stall", series="ror.rcp", kind="stalled",
              severity="warning", for_windows=6, activity="cn.commits"),
+    )
+    if heartbeats:
         # Watchdog: a replica's applied frontier went silent (no samples),
         # e.g. its replayer died or shipping stopped entirely.
-        Rule(name="frontier-silent", series="repl.applied_lsn", kind="silent",
-             severity="info", for_windows=8),
-    )
+        rules += (Rule(name="frontier-silent", series="repl.applied_lsn",
+                       kind="silent", severity="info", for_windows=8),)
+    return rules
 
 
 class _RuleState:

@@ -12,6 +12,11 @@ the benchmarks use):
   to its measured end-to-end latency.
 - **subsystem span summary** — span counts and total simulated time per
   category (where simulated time goes, Fig. 1/4/6-style).
+- **network messages per commit by kind** — what the cluster says on the
+  wire for each commit it makes (statement round trips, redo batches and
+  acks, GTM requests, the ROR control plane), counted from the ``net``
+  spans the network already records; nothing is counted when tracing is
+  off.
 - **run overview** — cluster-wide counters (commits, GTM traffic, RCP lag,
   shipped bytes) plus key metric-registry instruments.
 
@@ -116,6 +121,35 @@ def extract_transactions(spans, window: tuple[int, int] | None = None
     return complete
 
 
+def messages_by_kind(spans, window: tuple[int, int] | None = None
+                     ) -> tuple[dict[str, int], int]:
+    """``(kind -> network messages sent, commits)`` of a trace.
+
+    A message is one ``net`` span (its name is the payload kind the
+    network gave it at send time; replies are ``rpc_reply``), a commit one
+    ``txn``/``commit`` span. ``window`` keeps messages sent and commits
+    finished inside ``[start_ns, end_ns)``. Accepts live :class:`Span`
+    objects and the dicts :func:`~repro.obs.trace.read_jsonl` returns.
+    Kinds come back most frequent first, ties by name.
+    """
+    kinds: dict[str, int] = {}
+    commits = 0
+    for span in spans:
+        if isinstance(span, dict):
+            cat, name = span["cat"], span["name"]
+            start, end = span["start_ns"], span["end_ns"]
+        else:
+            cat, name, start, end = span.cat, span.name, span.start, span.end
+        if cat == "net":
+            if window is None or window[0] <= start < window[1]:
+                kinds[name] = kinds.get(name, 0) + 1
+        elif cat == "txn" and name == "commit":
+            if window is None or window[0] <= end < window[1]:
+                commits += 1
+    ordered = sorted(kinds.items(), key=lambda item: (-item[1], item[0]))
+    return dict(ordered), commits
+
+
 class RunReport:
     """Digest of one run's tracer + metrics + cluster counters."""
 
@@ -124,7 +158,9 @@ class RunReport:
                  category_duration_ns: dict[str, int],
                  overview: dict, dropped_spans: int = 0,
                  driver_p50_ms: float | None = None,
-                 metrics_snapshot: list | None = None):
+                 metrics_snapshot: list | None = None,
+                 message_counts: dict[str, int] | None = None,
+                 commits: int = 0):
         self.transactions = transactions
         self.category_counts = category_counts
         self.category_duration_ns = category_duration_ns
@@ -132,6 +168,8 @@ class RunReport:
         self.dropped_spans = dropped_spans
         self.driver_p50_ms = driver_p50_ms
         self.metrics_snapshot = metrics_snapshot or []
+        self.message_counts = message_counts or {}
+        self.commits = commits
 
     # ------------------------------------------------------------------
     @classmethod
@@ -148,6 +186,11 @@ class RunReport:
                 window = (stats.window_start_ns,
                           stats.window_start_ns + stats.window_ns)
         transactions = extract_transactions(tracer.spans, window)
+        message_counts, commits = messages_by_kind(tracer.spans, window)
+        if result is not None:
+            # The driver's count: it also covers operations that commit
+            # without a ``txn`` span (read-only queries on the ROR path).
+            commits = result.stats.committed
         return cls(
             transactions=transactions,
             category_counts=tracer.counts_by_category(),
@@ -156,6 +199,8 @@ class RunReport:
             dropped_spans=tracer.dropped,
             driver_p50_ms=driver_p50,
             metrics_snapshot=db.env.metrics.snapshot(),
+            message_counts=message_counts,
+            commits=commits,
         )
 
     # ------------------------------------------------------------------
@@ -231,6 +276,22 @@ class RunReport:
             table.note(f"{self.dropped_spans} spans dropped (max_spans cap)")
         return table
 
+    def messages_table(self):
+        table = _experiment_table()(
+            experiment="Run report — network messages per commit by kind",
+            paper_claim="what the cluster sends for each commit it makes",
+            columns=["kind", "messages", "per_commit", "share_pct"])
+        total = sum(self.message_counts.values())
+        if not total:
+            table.note("no traced network messages (tracing off)")
+            return table
+        commits = max(1, self.commits)
+        for kind, count in self.message_counts.items():
+            table.add_row(kind, count, count / commits, 100.0 * count / total)
+        table.add_row("all kinds", total, total / commits, 100.0)
+        table.note(f"{self.commits} commits in the measured window")
+        return table
+
     def overview_table(self):
         table = _experiment_table()(
             experiment="Run report — cluster overview",
@@ -244,7 +305,7 @@ class RunReport:
     # ------------------------------------------------------------------
     def tables(self) -> list:
         return [self.commit_breakdown(), self.subsystem_table(),
-                self.overview_table()]
+                self.messages_table(), self.overview_table()]
 
     def render(self) -> str:
         return "\n\n".join(table.render() for table in self.tables())

@@ -17,6 +17,7 @@ into :class:`repro.cluster.client.Session` for synchronous use.
 
 from __future__ import annotations
 
+import operator
 import typing
 
 from repro.errors import SqlError
@@ -40,6 +41,14 @@ from repro.storage.catalog import ColumnDef, DistributionSpec, TableSchema
 # Sentinel: a planned point SELECT whose bound columns turned out not to
 # cover the live primary key (DDL changed it) — fall back to the scan path.
 _NOT_A_POINT = object()
+
+#: Comparison operators by SQL spelling. ``evaluate`` calls only the one a
+#: predicate names, so ``=`` / ``<>`` between unorderable types (a string
+#: column against an integer) are plain false / true, not a ``TypeError``.
+_COMPARISONS = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
 
 # ----------------------------------------------------------------------
@@ -73,13 +82,11 @@ def evaluate(expr, row: typing.Mapping, params: typing.Sequence):
                 bool(evaluate(expr.right, row, params))
         left = evaluate(expr.left, row, params)
         right = evaluate(expr.right, row, params)
-        if expr.op in ("=", "<>", "<", "<=", ">", ">="):
+        compare = _COMPARISONS.get(expr.op)
+        if compare is not None:
             if left is None or right is None:
                 return False
-            return {
-                "=": left == right, "<>": left != right, "<": left < right,
-                "<=": left <= right, ">": left > right, ">=": left >= right,
-            }[expr.op]
+            return compare(left, right)
         if left is None or right is None:
             return None
         if expr.op == "+":

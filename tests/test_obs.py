@@ -21,7 +21,9 @@ from repro.obs import (
     read_jsonl,
 )
 from repro.obs.metrics import SIZE_BUCKETS
-from repro.obs.report import BREAKDOWN_COMPONENTS, extract_transactions
+from repro.obs.__main__ import main as obs_main
+from repro.obs.report import (BREAKDOWN_COMPONENTS, extract_transactions,
+                              messages_by_kind)
 from repro.workloads import TpccConfig, TpccWorkload, run_workload
 from repro.workloads.driver import WorkloadStats
 
@@ -322,10 +324,49 @@ class TestRunReport:
         assert "timestamp acquisition" in rendered
         json.dumps(report.to_dict())
 
+    def test_messages_per_commit_by_kind(self, tmp_path, capsys):
+        db, result = _traced_run()
+        report = RunReport.capture(db, result)
+        stats = result.stats
+        window = (stats.window_start_ns,
+                  stats.window_start_ns + stats.window_ns)
+        sent_in_window = [span for span in db.env.tracer.spans_in("net")
+                          if window[0] <= span.start < window[1]]
+        # Every message the network traced is in exactly one row.
+        assert sum(report.message_counts.values()) == len(sent_in_window)
+        assert report.commits == stats.committed
+        # A request kind and the replies; the ROR control plane shows up
+        # under its own names.
+        for kind in ("rpc_reply", "update", "redo_batch", "redo_ack",
+                     "status", "heartbeat", "max_commit_ts"):
+            assert report.message_counts[kind] > 0, kind
+        counts = list(report.message_counts.values())
+        assert counts == sorted(counts, reverse=True)
+        table = report.messages_table()
+        assert table.column("kind")[-1] == "all kinds"
+        assert table.cell(0, "per_commit") == counts[0] / stats.committed
+        assert table.column("messages")[-1] == len(sent_in_window)
+        assert table.to_dict() in report.to_dict()["tables"]
+
+        # The same count from the written trace: spans or their dicts.
+        path = tmp_path / "trace.jsonl"
+        db.env.tracer.to_jsonl(str(path))
+        assert messages_by_kind(read_jsonl(path)) == \
+            messages_by_kind(db.env.tracer.spans)
+        assert obs_main(["summarize", str(path)]) == 0
+        out = capsys.readouterr().out
+        kinds, commits = messages_by_kind(db.env.tracer.spans)
+        assert f"{sum(kinds.values())} network messages for {commits} " \
+               f"commits" in out
+        assert "heartbeat" in out and "per commit" in out
+
     def test_report_without_tracing_is_graceful(self):
         db = build_cluster(ClusterConfig.globaldb(one_region(), seed=1))
         db.run_for(0.05)
         report = RunReport.capture(db)
         assert report.category_counts == {}
         assert report.breakdown_error() == 0.0
-        assert "no traced read-write transactions" in report.render()
+        assert report.message_counts == {}
+        rendered = report.render()
+        assert "no traced read-write transactions" in rendered
+        assert "no traced network messages" in rendered

@@ -129,6 +129,24 @@ class TestExpressionEvaluation:
         expr = parse("SELECT * FROM t WHERE a = 1").where
         assert evaluate(expr, {"a": None}, ()) is False
 
+    def test_equality_on_mixed_types_does_not_order_them(self):
+        """``=`` / ``<>`` between a string and an integer are false / true;
+        only the ordering operators may object to unorderable operands."""
+        row = {"name": "ann"}
+        assert evaluate(parse("SELECT * FROM t WHERE name = 5").where,
+                        row, ()) is False
+        assert evaluate(parse("SELECT * FROM t WHERE name <> 5").where,
+                        row, ()) is True
+        with pytest.raises(TypeError):
+            evaluate(parse("SELECT * FROM t WHERE name < 5").where, row, ())
+
+    def test_every_comparison_operator(self):
+        for op, expected in [("=", False), ("<>", True), ("<", True),
+                             ("<=", True), (">", False), (">=", False)]:
+            expr = parse(f"SELECT * FROM t WHERE a {op} 2").where
+            assert evaluate(expr, {"a": 1}, ()) is expected, op
+            assert evaluate(expr, {"a": None}, ()) is False, op
+
     def test_params_bind_in_order(self):
         expr = parse("SELECT * FROM t WHERE a = ? AND b = ?").where
         assert evaluate(expr, {"a": 1, "b": 2}, (1, 2)) is True
@@ -176,6 +194,12 @@ class TestEndToEnd:
         rows = session.execute(
             "SELECT name FROM users WHERE city = 'berlin' ORDER BY name")
         assert [row["name"] for row in rows] == ["ann", "cho"]
+
+    def test_predicate_scan_on_mixed_types_matches_nothing(self, db_session):
+        _db, session = db_session
+        assert session.execute("SELECT id FROM users WHERE name = 5") == []
+        rows = session.execute("SELECT id FROM users WHERE name <> 5")
+        assert sorted(row["id"] for row in rows) == [1, 2, 3, 4]
 
     def test_aggregates(self, db_session):
         _db, session = db_session
