@@ -21,7 +21,9 @@ def test_ablation_ror(benchmark):
     assert with_ror[2] > 1.5 * without[2]
     assert with_ror[3] > 0          # replicas actually served reads
     assert without[3] == 0          # and never when ROR is off
-    # Throttled serial replay leaves the RCP further behind the frontier.
+    # Throttled serial replay leaves the RCP several times further behind
+    # the frontier (145 ms vs 1 110 ms at quick scale). A ratio, not ``>``:
+    # a "serial" replayer that can still widen under backlog reads 175 ms.
     fast = rows["parallel replay (x8)"]
     slow = rows["throttled serial replay"]
-    assert slow[5] > fast[5]
+    assert slow[5] > 3 * fast[5]

@@ -193,17 +193,21 @@ class GlobalDB:
                 cn.catalog.create_table(schema, ddl_ts=1)
 
     def bulk_load(self, table: str, rows: typing.Iterable[dict]) -> int:
-        """Install rows on primaries and replicas as committed data."""
+        """Install rows on primaries and replicas as committed data.
+
+        Each row is copied once here; every engine and replica store that
+        holds it adopts that one image (a replicated table's on all
+        shards), so the caller keeps ownership of what it passed in."""
         schema = self.shard_map.schema(table)
         by_shard: dict[int, list[dict]] = {}
         if self.shard_map.is_replicated(table):
-            all_rows = list(rows)
+            all_rows = [dict(row) for row in rows]
             for shard in self.shard_map.all_shards():
                 by_shard[shard] = all_rows
         else:
             for row in rows:
                 shard = self.shard_map.shard_for_row(table, row)
-                by_shard.setdefault(shard, []).append(row)
+                by_shard.setdefault(shard, []).append(dict(row))
         total = 0
         for shard, shard_rows in by_shard.items():
             loaded = self.primaries[shard].engine.bulk_load(table, shard_rows)

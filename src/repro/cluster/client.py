@@ -22,8 +22,18 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cn import ComputingNode, TxnContext
 
 
+def _copy(row: dict | None) -> dict | None:
+    return None if row is None else dict(row)
+
+
 class Session:
-    """A client connection bound to one computing node."""
+    """A client connection bound to one computing node.
+
+    Rows a session returns are the caller's own copies. Inside the cluster
+    a row image is shared by the primary, the redo stream and every
+    replica (:mod:`repro.storage.heap`), so the generator API underneath
+    (``cn.g_*``, :class:`_GeneratorTxn`) hands out the stored dicts
+    themselves and they are read-only."""
 
     def __init__(self, db: "GlobalDB", cn: "ComputingNode"):
         self.db = db
@@ -102,21 +112,24 @@ class Session:
         return self._run(self.cn.g_insert(self._require_txn(), table, row))
 
     def update(self, table: str, key: tuple, changes: typing.Mapping) -> dict | None:
-        return self._run(self.cn.g_update(self._require_txn(), table, key, changes))
+        return _copy(self._run(
+            self.cn.g_update(self._require_txn(), table, key, changes)))
 
     def delete(self, table: str, key: tuple) -> bool:
         return self._run(self.cn.g_delete(self._require_txn(), table, key))
 
     def read(self, table: str, key: tuple) -> dict | None:
         """Read inside the current transaction (from the shard primary)."""
-        return self._run(self.cn.g_read(self._require_txn(), table, key))
+        return _copy(self._run(self.cn.g_read(self._require_txn(), table, key)))
 
     def read_for_update(self, table: str, key: tuple) -> dict | None:
-        return self._run(self.cn.g_read_for_update(self._require_txn(), table, key))
+        return _copy(self._run(
+            self.cn.g_read_for_update(self._require_txn(), table, key)))
 
     def scan(self, table: str,
              predicate: typing.Callable[[dict], bool] | None = None) -> list[dict]:
-        return self._run(self.cn.g_scan(self._require_txn(), table, predicate))
+        rows = self._run(self.cn.g_scan(self._require_txn(), table, predicate))
+        return [dict(row) for row in rows]
 
     # ------------------------------------------------------------------
     # Auto-commit single statements
@@ -147,24 +160,26 @@ class Session:
     def read_only(self, table: str, key: tuple,
                   max_staleness_ms: float | None = None) -> dict | None:
         bound = None if max_staleness_ms is None else ms(max_staleness_ms)
-        return self._run(self.cn.g_read_only(
+        return _copy(self._run(self.cn.g_read_only(
             table, key, staleness_bound_ns=bound,
-            min_read_ts=self.last_commit_ts))
+            min_read_ts=self.last_commit_ts)))
 
     def read_only_multi(self, table: str, keys: typing.Sequence[tuple],
                         max_staleness_ms: float | None = None) -> list[dict | None]:
         bound = None if max_staleness_ms is None else ms(max_staleness_ms)
-        return self._run(self.cn.g_read_only_multi(
+        rows = self._run(self.cn.g_read_only_multi(
             table, keys, staleness_bound_ns=bound,
             min_read_ts=self.last_commit_ts))
+        return [_copy(row) for row in rows]
 
     def scan_only(self, table: str,
                   predicate: typing.Callable[[dict], bool] | None = None,
                   max_staleness_ms: float | None = None) -> list[dict]:
         bound = None if max_staleness_ms is None else ms(max_staleness_ms)
-        return self._run(self.cn.g_scan_only(
+        rows = self._run(self.cn.g_scan_only(
             table, predicate, staleness_bound_ns=bound,
             min_read_ts=self.last_commit_ts))
+        return [dict(row) for row in rows]
 
     # ------------------------------------------------------------------
     # SQL
@@ -238,7 +253,8 @@ class Session:
 
 class _GeneratorTxn:
     """Transaction verbs usable inside :meth:`Session.execute_txn` bodies
-    (generator-style: each verb must be consumed with ``yield from``)."""
+    (generator-style: each verb must be consumed with ``yield from``).
+    Zero-copy: returned rows are the stored images and are read-only."""
 
     def __init__(self, cn: "ComputingNode", ctx: "TxnContext"):
         self._cn = cn

@@ -88,7 +88,12 @@ class CnConfig:
 
 
 class ComputingNode(ClusterNode):
-    """A client-facing coordinator node."""
+    """A client-facing coordinator node.
+
+    The ``g_*`` generators are zero-copy: a row they return is the stored
+    image, shared by the primary, the redo stream and every replica, and
+    must not be edited in place (:class:`~repro.cluster.client.Session`
+    copies on the way out)."""
 
     def __init__(self, *args, cn_index: int = 0, shard_map: ShardMap,
                  config: CnConfig | None = None, **kwargs):

@@ -100,11 +100,11 @@ class ReplicaStore:
     def _apply_insert(self, record: RedoInsert) -> None:
         self.clog.ensure(record.txid)
         heap = self.table(record.table)
-        version = RowVersion(key=record.key, data=dict(record.row),
-                             xmin=record.txid)
+        # The after-image is adopted, not copied (image immutability,
+        # :mod:`repro.storage.heap`); the record shell may be recycled.
+        version = RowVersion(key=record.key, data=record.row, xmin=record.txid)
         heap.add_version(version)
-        self._txn_versions.setdefault(record.txid, []).append(
-            ("insert", heap, version, None))
+        self._note_undo(record.txid, ("insert", heap, version, None))
 
     def _apply_update(self, record: RedoUpdate) -> None:
         self.clog.ensure(record.txid)
@@ -112,11 +112,9 @@ class ReplicaStore:
         old = self._current_unended(heap, record.key)
         if old is not None:
             old.xmax = record.txid
-        version = RowVersion(key=record.key, data=dict(record.row),
-                             xmin=record.txid)
+        version = RowVersion(key=record.key, data=record.row, xmin=record.txid)
         heap.add_version(version)
-        self._txn_versions.setdefault(record.txid, []).append(
-            ("update", heap, version, old))
+        self._note_undo(record.txid, ("update", heap, version, old))
 
     def _apply_delete(self, record: RedoDelete) -> None:
         self.clog.ensure(record.txid)
@@ -124,8 +122,14 @@ class ReplicaStore:
         old = self._current_unended(heap, record.key)
         if old is not None:
             old.xmax = record.txid
-            self._txn_versions.setdefault(record.txid, []).append(
-                ("delete", heap, None, old))
+            self._note_undo(record.txid, ("delete", heap, None, old))
+
+    def _note_undo(self, txid: int, entry: tuple) -> None:
+        entries = self._txn_versions.get(txid)
+        if entries is None:
+            self._txn_versions[txid] = [entry]
+        else:
+            entries.append(entry)
 
     def _current_unended(self, heap: HeapTable, key: tuple) -> RowVersion | None:
         """The version this write supersedes: the first un-ended one. Redo
@@ -146,27 +150,14 @@ class ReplicaStore:
         self.clog.prepare(record.txid)
         self._unresolved.setdefault(record.txid, Event(self.env))
 
-    def _apply_commit(self, record: RedoCommit) -> None:
+    def _apply_commit(self, record: RedoCommit | RedoCommitPrepared) -> None:
         self.clog.ensure(record.txid)
         self.clog.commit(record.txid, record.commit_ts)
         self._txn_versions.pop(record.txid, None)
         self._note_ts(record.commit_ts)
         self._resolve(record.txid)
 
-    def _apply_commit_prepared(self, record: RedoCommitPrepared) -> None:
-        self.clog.ensure(record.txid)
-        self.clog.commit(record.txid, record.commit_ts)
-        self._txn_versions.pop(record.txid, None)
-        self._note_ts(record.commit_ts)
-        self._resolve(record.txid)
-
-    def _apply_abort(self, record: RedoAbort) -> None:
-        self._undo(record.txid)
-        self.clog.ensure(record.txid)
-        self.clog.abort(record.txid)
-        self._resolve(record.txid)
-
-    def _apply_abort_prepared(self, record: RedoAbortPrepared) -> None:
+    def _apply_abort(self, record: RedoAbort | RedoAbortPrepared) -> None:
         self._undo(record.txid)
         self.clog.ensure(record.txid)
         self.clog.abort(record.txid)
@@ -240,11 +231,14 @@ class ReplicaStore:
         return that transaction's id."""
         if not self._unresolved:
             return None
+        committed = self.clog._commit_ts
         for version in self.table(table).versions(key):
             if version.xmin in self._unresolved:
                 return version.xmin
             if version.xmax is not None and version.xmax in self._unresolved:
                 return version.xmax
+            if version.xmin in committed:
+                break  # chain invariant: all below is committed and ended
         return None
 
     def resolution_event(self, txid: int) -> Event | None:
@@ -309,7 +303,8 @@ class ReplicaStore:
     # ------------------------------------------------------------------
     def bulk_load(self, table: str, rows: typing.Iterable[dict],
                   schema, load_ts: int = 1) -> int:
-        """Install rows directly as committed at ``load_ts`` (base backup)."""
+        """Install rows directly as committed at ``load_ts`` (base backup);
+        each row dict is adopted as the version's image, not copied."""
         if not self.has_table(table):
             self.catalog.create_table(schema, ddl_ts=load_ts)
             self._tables[table] = HeapTable(table)
@@ -320,7 +315,7 @@ class ReplicaStore:
         count = 0
         for row in rows:
             key = schema.key_of(row)
-            heap.add_version(RowVersion(key=key, data=dict(row), xmin=0))
+            heap.add_version(RowVersion(key=key, data=row, xmin=0))
             count += 1
         self._note_ts(load_ts)
         return count
@@ -333,9 +328,9 @@ ReplicaStore._APPLY = {
     RedoPendingCommit: ReplicaStore._apply_pending_commit,
     RedoPrepare: ReplicaStore._apply_prepare,
     RedoCommit: ReplicaStore._apply_commit,
-    RedoCommitPrepared: ReplicaStore._apply_commit_prepared,
+    RedoCommitPrepared: ReplicaStore._apply_commit,
     RedoAbort: ReplicaStore._apply_abort,
-    RedoAbortPrepared: ReplicaStore._apply_abort_prepared,
+    RedoAbortPrepared: ReplicaStore._apply_abort,
     RedoDdl: ReplicaStore._apply_ddl,
     RedoHeartbeat: ReplicaStore._apply_heartbeat,
 }

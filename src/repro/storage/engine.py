@@ -227,12 +227,15 @@ class StorageEngine:
         commit window, return that transaction's id."""
         if not self._unresolved:
             return None
+        committed = self.clog._commit_ts
         for version in self.table(table).versions(key):
             if version.xmin in self._unresolved and version.xmin != reader_txid:
                 return version.xmin
             if (version.xmax is not None and version.xmax in self._unresolved
                     and version.xmax != reader_txid):
                 return version.xmax
+            if version.xmin in committed:
+                break  # chain invariant: all below is committed and ended
         return None
 
     def read_waiting(self, table: str, key: tuple, snapshot: Snapshot):
@@ -370,7 +373,8 @@ class StorageEngine:
 
         Used for initial workload loading (the equivalent of restoring a
         base backup before benchmarking); nothing is written to the WAL, so
-        replicas must be loaded the same way.
+        replicas must be loaded the same way. Each row dict is adopted as
+        the version's image, not copied (:mod:`repro.storage.heap`).
         """
         schema = self.catalog.table(table)
         heap = self.table(table)
@@ -380,7 +384,7 @@ class StorageEngine:
         count = 0
         for row in rows:
             key = schema.key_of(row)
-            heap.add_version(RowVersion(key=key, data=dict(row), xmin=0))
+            heap.add_version(RowVersion(key=key, data=row, xmin=0))
             count += 1
         self._note_commit_ts(load_ts)
         return count

@@ -14,15 +14,27 @@ only the newest can be un-ended — every older one was ended by the creator
 of the version above it. An aborted transaction leaves nothing behind. The
 heap does not enforce this; its writers do. On a primary the row lock
 serializes writers of a key (and ``StorageEngine.insert`` refuses a key with
-a live or in-flight version); on a replica redo is applied in LSN order,
-which replays the primary's order. Write, replay and vacuum walks rely on it
-to stop at the first version that decides their answer instead of scanning
-the chain; snapshot reads below the head do not, and walk down to their
-timestamp.
+a live or un-ended in-flight version); on a replica redo is applied in LSN
+order, which replays the primary's order. Write, replay and vacuum walks
+rely on it to stop at the first version that decides their answer instead
+of scanning the chain, and a snapshot read of a long chain bisects the
+committed region by commit timestamp (:func:`_snapshot_suffix`). Only a
+version no snapshot can see may lie out of order below a committed one: one
+its own creator ended (a lock-free insert can land above such a run while
+its transaction is in flight) or one whose creator never commits (an orphan
+a promotion left behind).
+
+Image immutability. Once a dict is a version's ``data`` nobody mutates it:
+the same dict is the redo record's after-image and the ``data`` of every
+replica's copy of the version — one image per version in the whole process.
+A dict is copied only where it crosses to code that may edit it:
+``GlobalDB.bulk_load`` and ``StorageEngine.insert`` on the way in,
+``Session`` reads on the way out.
 """
 
 from __future__ import annotations
 
+import itertools
 import typing
 from dataclasses import dataclass
 
@@ -65,6 +77,38 @@ def version_visible(version: RowVersion, snapshot: Snapshot, clog: CommitLog) ->
             and not _ended_visible(version, snapshot, clog))
 
 
+#: Chains up to this long are walked; longer ones are bisected first.
+_WALK_MAX = 16
+
+
+def _snapshot_suffix(versions, read_ts: int, committed: dict):
+    """What a read at ``read_ts`` still has to look at in a long chain: the
+    head region (creators not committed: an own write is there or nowhere)
+    and everything from the first version committed at or before
+    ``read_ts``, found by bisecting the committed region. The whole chain
+    when a probe cannot be ordered against what lies above it: it has no
+    commit timestamp, or is self-ended and newer than ``read_ts``."""
+    end = hi = len(versions)
+    head = 0
+    while head < end and versions[head].xmin not in committed:
+        head += 1
+    if head == end or committed[versions[head].xmin] <= read_ts:
+        return versions  # a current snapshot: nothing to skip
+    lo = head + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        version = versions[mid]
+        ts = committed.get(version.xmin)
+        if ts is None or (ts > read_ts and version.xmin == version.xmax):
+            return versions
+        if ts <= read_ts:
+            hi = mid
+        else:
+            lo = mid + 1
+    return map(versions.__getitem__,
+               itertools.chain(range(head), range(lo, end)))
+
+
 def _first_visible(versions, read_ts: int, own, committed: dict,
                    memo: dict) -> RowVersion | None:
     """First visible version in a newest-first chain, with memoized
@@ -79,6 +123,8 @@ def _first_visible(versions, read_ts: int, own, committed: dict,
     transaction committing *between* events would otherwise flip a cached
     False.
     """
+    if len(versions) > _WALK_MAX:
+        versions = _snapshot_suffix(versions, read_ts, committed)
     for version in versions:
         xmin = version.xmin
         if xmin != own:
@@ -123,7 +169,11 @@ class HeapTable:
         index: dict[typing.Any, set] = {}
         for key, versions in self._rows.items():
             for version in versions:
-                index.setdefault(version.data.get(column), set()).add(key)
+                value = version.data.get(column)
+                keys = index.get(value)
+                if keys is None:
+                    index[value] = keys = set()
+                keys.add(key)
         self._indexes[column] = index
 
     def drop_index(self, column: str) -> None:
@@ -136,7 +186,11 @@ class HeapTable:
 
     def _index_add(self, version: RowVersion) -> None:
         for column, index in self._indexes.items():
-            index.setdefault(version.data.get(column), set()).add(version.key)
+            value = version.data.get(column)
+            keys = index.get(value)
+            if keys is None:
+                index[value] = keys = set()
+            keys.add(version.key)
 
     # ------------------------------------------------------------------
     # Version chain operations (no visibility logic here)

@@ -5,7 +5,8 @@ Two families of checks:
 - the memoized MVCC visibility path (``heap._first_visible``, used by
   ``HeapTable.scan`` / ``lookup_index``) agrees with the uncached
   reference rule ``version_visible`` on randomized version chains and
-  commit logs (hypothesis property);
+  commit logs, and on chains of 17-600 versions grown by a real engine
+  and replayed on a replica, where it bisects (hypothesis property);
 - the optimized kernel reproduces the exact pre-optimization trace digest
   of the lint smoke scenario — the determinism proof the perf work is
   gated on.
@@ -20,6 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.replication.replica import ReplicaStore
+from repro.sim import Environment
+from repro.storage import ColumnDef, StorageEngine, TableSchema
 from repro.storage.clog import CommitLog
 from repro.storage.heap import (
     HeapTable,
@@ -61,8 +65,127 @@ def clog_and_chain(draw):
     return clog, chain, read_ts, own
 
 
-@settings(max_examples=300, deadline=None)
-@given(clog_and_chain())
+KEY = (1,)
+
+
+@st.composite
+def engine_chain(draw):
+    """One key's chain, 17-600 versions long, as an engine (or a replica
+    replaying that engine's WAL) produces it, with a snapshot to read it
+    at. Single-statement transactions commit at ascending timestamps in
+    runs of updates (every seventh writes twice: a self-ended version),
+    deletes and aborted updates; ``buried`` lets a lock-free insert land
+    above an in-flight transaction's insert + delete on a dead key, which
+    then commits *later* (out of commit order), aborts, or stays in flight
+    (reads are drawn to straddle those commits as often as any); vacuum
+    freezes an anchor mid-history. The history ends with a head region:
+    an open transaction's own writes, maybe its own delete, maybe logged
+    pending-commit or prepared."""
+    env = Environment()
+    engine = StorageEngine(env, "dn")
+    engine.create_table(TableSchema(
+        "t", [ColumnDef("k", "int"), ColumnDef("v", "int")], ("k",)))
+    heap = engine.table("t")
+    clock = {"ts": 0, "txid": 0}
+
+    def begin():
+        clock["txid"] += 1
+        engine.begin(clock["txid"])
+        return clock["txid"]
+
+    def commit(txid):
+        clock["ts"] += 10
+        engine.commit(txid, clock["ts"])
+
+    def upsert(txid):
+        if engine.update(txid, "t", KEY, {"v": clock["ts"]}) is None:
+            engine.insert(txid, "t", {"k": 1, "v": clock["ts"]})
+
+    open_txids = []
+    out_of_order = []  # commit timestamps of the inserts above buried runs
+    segments = draw(st.lists(
+        st.tuples(st.sampled_from(["updates"] * 4 + ["buried"] * 2
+                                  + ["delete", "abort", "vacuum"]),
+                  st.integers(1, 150)),
+        min_size=1, max_size=6))
+    for kind, count in segments:
+        if open_txids:
+            break  # a buried transaction still holds the row lock
+        if kind == "updates":
+            for index in range(count):
+                txid = begin()
+                upsert(txid)
+                if index % 7 == 6:
+                    upsert(txid)
+                commit(txid)
+        elif kind == "delete":
+            txid = begin()
+            engine.delete(txid, "t", KEY)
+            commit(txid)
+        elif kind == "abort":
+            txid = begin()
+            upsert(txid)
+            engine.abort(txid)
+        elif kind == "vacuum":
+            engine.vacuum(retention_ns=count)
+        else:  # buried
+            if engine.current_for_write(heap, KEY, -1) is not None:
+                txid = begin()
+                engine.delete(txid, "t", KEY)
+                commit(txid)
+            below = begin()
+            upsert(below)
+            if count % 2:
+                upsert(below)
+            engine.delete(below, "t", KEY)
+            above = begin()
+            engine.insert(above, "t", {"k": 1, "v": -1})
+            commit(above)
+            out_of_order.append(clock["ts"])
+            fate = draw(st.sampled_from(["commit", "abort", "open"]))
+            if fate == "commit":
+                commit(below)
+            elif fate == "abort":
+                engine.abort(below)
+            else:
+                open_txids.append(below)
+    while len(heap.versions(KEY)) < 17 and not open_txids:
+        txid = begin()
+        upsert(txid)
+        commit(txid)
+    head = draw(st.sampled_from(["none", "writes", "deleted", "pending",
+                                 "prepared"]))
+    if head != "none" and not open_txids:
+        txid = begin()
+        for _ in range(draw(st.integers(1, 20))):
+            upsert(txid)
+        if head == "deleted":
+            engine.delete(txid, "t", KEY)
+        elif head == "pending":
+            engine.log_pending_commit(txid)
+        elif head == "prepared":
+            engine.prepare(txid)
+        open_txids.append(txid)
+    store = engine
+    if draw(st.booleans()):
+        store = ReplicaStore(env, "replica")
+        store.apply_batch(engine.wal.records_from(0))
+        if draw(st.booleans()):
+            store.vacuum(retention_ns=draw(st.integers(0, 300)))
+    chain = store.table("t").versions(KEY)
+    # Snapshots at, just below and just above some version's commit.
+    near = store.clog.commit_ts(draw(st.sampled_from(chain)).xmin)
+    if near is None:
+        near = clock["ts"]
+    if out_of_order and draw(st.booleans()):
+        near = draw(st.sampled_from(out_of_order))
+    read_ts = near + draw(st.sampled_from([-1, 0, 1, 5, 15]))
+    own = draw(st.sampled_from([None, *open_txids]))
+    return store.clog, chain, read_ts, own
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(clog_and_chain(), engine_chain()))
 def test_first_visible_matches_reference(case):
     clog, chain, read_ts, own = case
     snapshot = Snapshot(read_ts, own)

@@ -55,6 +55,40 @@ class TestSession:
         assert session.read("t", (1,))["v"] == 15
         session.commit()
 
+    def test_rows_handed_out_are_the_callers_copies(self):
+        """One row image is shared by the primary, the redo stream and the
+        replicas; whatever a session returns may be edited freely."""
+        db = quick_db()
+        session = db.session()
+        session.create_table("t", [("k", "int"), ("v", "int")],
+                             primary_key=["k"])
+        session.begin()
+        session.insert("t", {"k": 1, "v": 10})
+        session.commit()
+        db.run_for(0.3)  # replicas replay; the RCP covers the commit
+        session.begin()
+        handed_out = [session.read("t", (1,)),
+                      session.read_for_update("t", (1,)),
+                      session.update("t", (1,), {"v": 11}),
+                      *session.scan("t")]
+        session.commit()
+        db.run_for(0.3)
+        handed_out += [session.read_only("t", (1,)),
+                       *session.read_only_multi("t", [(1,)]),
+                       *session.scan_only("t")]
+        assert [row["v"] for row in handed_out] == [10, 10, 11, 11, 11, 11, 11]
+        for row in handed_out:
+            row["v"] = -1
+            row["junk"] = True
+        stores = [primary.engine for primary in db.primaries]
+        stores += [replica.store for replicas in db.replicas.values()
+                   for replica in replicas]
+        stored = [version.data for store in stores
+                  for version in store.table("t").versions((1,))]
+        assert len(stored) == 6  # two versions on a primary and two replicas
+        assert all(image in ({"k": 1, "v": 10}, {"k": 1, "v": 11})
+                   for image in stored)
+
     def test_execute_txn_auto_abort_on_error(self):
         db = quick_db()
         session = db.session()
@@ -103,6 +137,31 @@ class TestGlobalDbFacade:
         # Every shard primary holds every row.
         for primary in db.primaries:
             assert len(primary.engine.table("cfg")) == 5
+
+    @pytest.mark.parametrize("distribution", ["hash", "replicated"])
+    def test_bulk_load_copies_each_row_once(self, distribution):
+        """The caller keeps its dicts; every store that holds a row holds
+        the one copy (a replicated table's, every shard's stores)."""
+        db = quick_db()
+        db.create_table_offline(TableSchema(
+            "t", [ColumnDef("k", "int"), ColumnDef("v", "int")], ("k",),
+            distribution=DistributionSpec(distribution)))
+        rows = [{"k": i, "v": i} for i in range(12)]
+        db.bulk_load("t", rows)
+        for row in rows:
+            row["v"] = -1  # the caller's dicts are still the caller's
+        holders = 0
+        for key in range(12):
+            images = [version.data
+                      for node in [*db.primaries,
+                                   *(r for rs in db.replicas.values() for r in rs)]
+                      for store in [node.engine or node.store]
+                      for version in store.table("t").versions((key,))]
+            assert images[0] == {"k": key, "v": key}
+            assert all(image is images[0] for image in images)
+            holders += len(images)
+        per_row = 3 * (len(db.primaries) if distribution == "replicated" else 1)
+        assert holders == 12 * per_row
 
     def test_bulk_load_hash_table_partitions(self):
         db = quick_db()

@@ -1,14 +1,17 @@
 """Count-based (not timed) complexity tests for version-chain walks: how
 many versions a write, a replayed write, a rollback and a vacuum look at
-must not depend on how long the chain is."""
+must not depend on how long the chain is, and how many a snapshot read or
+a holdback check looks at may grow with its logarithm only."""
+
+import math
 
 import pytest
 
 from repro.replication.replica import ReplicaStore
 from repro.sim import Environment
-from repro.storage import ColumnDef, StorageEngine, TableSchema
+from repro.storage import ColumnDef, Snapshot, StorageEngine, TableSchema
 from repro.storage.heap import HeapTable, RowVersion
-from repro.storage.redo import RedoCommit, RedoUpdate
+from repro.storage.redo import RedoCommit, RedoPendingCommit, RedoUpdate
 
 KEY = (1,)
 
@@ -99,6 +102,41 @@ def test_chain_walks_do_not_grow_with_the_chain():
     short, long = visits(64), visits(4096)
     assert short == long
     assert max(long.values()) <= 4, long
+
+
+def read_probes(length):
+    """Versions probed by snapshot reads at the newest, the middle and the
+    oldest snapshot, and by a reader's holdback check while a transaction
+    on another key sits in its commit window."""
+    engine, replica, txid = grown(length)
+    engine.begin(txid)
+    engine.insert(txid, "t", {"k": 2, "v": 0})
+    engine.log_pending_commit(txid)
+    replica.apply_batch(engine.wal.records_from(replica.applied_lsn))
+    assert engine._unresolved and replica.unresolved_count() == 1
+    counts = {}
+    for name, store in (("engine", engine), ("replica", replica)):
+        chain = store.table("t").versions(KEY)
+        for where, at in (("newest", length), ("middle", length // 2),
+                          ("oldest", 1)):  # txid i committed at ts i
+            chain.visited = 0
+            assert store.read("t", KEY, Snapshot(at)) == {
+                "k": 1, "v": at if at > 1 else 0}
+            counts[f"{name} read at the {where} snapshot"] = chain.visited
+        chain.visited = 0
+        assert store.blocking_txid("t", KEY) is None
+        counts[f"{name} holdback check"] = chain.visited
+    return counts
+
+
+def test_reads_and_holdback_checks_grow_with_the_log_of_the_chain():
+    short, long = read_probes(64), read_probes(4096)
+    growth = math.log2(4096 / 64)
+    for name, probed in long.items():
+        assert probed - short[name] <= growth, (name, short, long)
+        assert probed <= math.log2(4096) + 4, (name, long)
+    assert long["engine holdback check"] == long["replica holdback check"] == 1
+    assert long["engine read at the newest snapshot"] <= 3
 
 
 def test_row_versions_compare_by_identity():

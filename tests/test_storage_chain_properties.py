@@ -6,7 +6,9 @@ only: they look at every version of the chain and pick by commit
 timestamp, relying on no ordering of the chain at all. The histories come
 from ``test_vacuum_properties.build_history`` — lock-disciplined, with
 aborts, 2PC, interleaved vacuum (frozen ``xmin=0``, clog-pruned ``xmax``)
-and one multi-statement transaction that may stay in flight.
+and one multi-statement transaction that may stay in flight. The same
+histories are held to the ordering a bisecting snapshot read leans on, on
+the engine and at every WAL prefix a replica passes through.
 """
 
 from hypothesis import given, strategies as st
@@ -121,6 +123,24 @@ class CheckedReplica(ReplicaStore):
         return found
 
 
+def assert_snapshot_order(clog, chain):
+    """What a bisecting snapshot read (``heap._snapshot_suffix``) leans
+    on: below the head region, whatever a snapshot could see — a version
+    its own creator did not end — has a committed creator, and those
+    commit timestamps never ascend going down the chain."""
+    in_head, floor = True, None
+    for version in chain:
+        ts = clog.commit_ts(version.xmin)
+        if in_head and ts is None:
+            continue
+        in_head = False
+        if version.xmin == version.xmax:
+            continue  # invisible to every snapshot; may be out of order
+        assert ts is not None, (version, "in flight below a committed one")
+        assert floor is None or ts <= floor, (version, ts, floor)
+        floor = ts
+
+
 class TestChainWalkProperties:
     @given(operations=history_strategy,
            vacuum_every=st.integers(1, 12), retention_steps=st.integers(0, 3))
@@ -132,12 +152,17 @@ class TestChainWalkProperties:
         for key in KEYS:
             for txid in [-1, *in_flight]:  # -1: a transaction with no writes
                 engine.current_for_write(heap, (key,), txid)
+            assert_snapshot_order(engine.clog, heap.versions((key,)))
 
         replica = CheckedReplica(engine.env, "replica")
         for index, record in enumerate(engine.wal.records_from(0), start=1):
             replica.apply(record)
             if index % vacuum_every == 0:
                 replica.vacuum(retention_ns=retention_steps * 10)
+            if replica.has_table("t"):
+                for key in KEYS:  # every prefix of the WAL, not only the end
+                    assert_snapshot_order(
+                        replica.clog, replica.table("t").versions((key,)))
         # The replica followed the same chains: it reads what the primary
         # reads at the newest snapshot both can serve.
         snapshot = Snapshot(replica.max_commit_ts)

@@ -13,7 +13,9 @@ replica cursors — and assert, by object identity, that:
 - shells handed back out by :meth:`WalBuffer.take` never alias the live
   window either;
 - catch-up slices stay dense, ordered, and start exactly past the
-  requested LSN — truncation never creates a gap a replayer could skip.
+  requested LSN — truncation never creates a gap a replayer could skip;
+- a replica adopts the row image a record carries, never the shell: the
+  image outlives the shell's recycling and reuse untouched.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from __future__ import annotations
 import hypothesis.strategies as st
 from hypothesis import given
 
+from repro.replication.replica import ReplicaStore
+from repro.sim import Environment
+from repro.storage import ColumnDef, StorageEngine, TableSchema
 from repro.storage.redo import (
     RedoCommit,
     RedoHeartbeat,
@@ -112,3 +117,36 @@ def test_pooling_off_is_equivalent_except_for_reuse(script):
     assert [rec.lsn for rec in pooled.records_from(applied)] == \
         [rec.lsn for rec in plain.records_from(applied)]
     assert not plain._pools
+
+
+def test_adopted_images_survive_shell_recycling():
+    env = Environment()
+    engine = StorageEngine(env, "dn")
+    engine.create_table(TableSchema(
+        "t", [ColumnDef("k", "int"), ColumnDef("v", "int")], ("k",)))
+    replica = ReplicaStore(env, "replica")
+
+    def write(txid):
+        engine.begin(txid)
+        engine.insert(txid, "t", {"k": txid, "v": 0})
+        engine.update(txid, "t", (txid,), {"v": txid})
+        engine.commit(txid, txid)
+
+    for txid in range(1, 9):
+        write(txid)
+    replica.apply_batch(engine.wal.records_from(0))
+    shells = [record for record in engine.wal.records_from(0)
+              if isinstance(record, (RedoInsert, RedoUpdate))]
+    engine.wal.truncate_below(replica.applied_lsn + 1)
+    assert all(shell.row is None for shell in shells)  # recycled
+    for txid in range(9, 17):
+        write(txid)  # reuses the shells for other rows
+    assert {id(record) for record in engine.wal.records_from(0)} \
+        & {id(shell) for shell in shells}
+    for txid in range(1, 9):
+        ours = engine.table("t").versions((txid,))
+        theirs = replica.table("t").versions((txid,))
+        assert [version.data for version in theirs] == [
+            {"k": txid, "v": txid}, {"k": txid, "v": 0}]
+        assert all(mine.data is yours.data
+                   for mine, yours in zip(ours, theirs, strict=True))
