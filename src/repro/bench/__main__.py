@@ -5,27 +5,20 @@ Usage::
     python -m repro.bench list
     python -m repro.bench fig6a
     python -m repro.bench fig6d --scale full
-    python -m repro.bench perf --scale quick
     python -m repro.bench all
 
 Each experiment prints the same paper-style table the benchmark suite
-records, without pytest in the way. ``perf`` is the wall-clock performance
-harness (writes ``BENCH_PERF.json``); see ``repro.bench.perf``.
+records, without pytest in the way. Host performance (commits per
+CPU-second, per-layer cost) is measured by ``benchmarks/perf/run.py``.
 
 Scale selection: ``--scale`` wins when given; otherwise the
 ``REPRO_BENCH_SCALE`` environment variable (via :meth:`Scale.from_env`,
 which rejects unknown values); otherwise quick.
-
-Set ``REPRO_PROFILE=1`` to wrap each experiment in :mod:`cProfile` and
-dump ``bench_<name>.prof`` next to the results (load with ``pstats`` or
-``snakeviz``). Profiling is host-side tooling only — it never feeds
-simulated state.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -40,8 +33,6 @@ from repro.bench import (
     fig6d_sysbench_point_select,
     migration_under_load,
 )
-from repro.bench.perf import render as render_perf
-from repro.bench.perf import run_perf
 
 EXPERIMENTS = {
     "fig1a": fig1a_motivation,
@@ -53,24 +44,6 @@ EXPERIMENTS = {
     "shipping": ablation_log_shipping,
     "ror": ablation_ror,
 }
-
-
-def _profiled(fn, name: str):
-    """Run ``fn()`` under cProfile when REPRO_PROFILE=1, dumping
-    ``bench_<name>.prof`` next to the results (current directory)."""
-    if os.environ.get("REPRO_PROFILE") != "1":
-        return fn()
-    import cProfile
-
-    profiler = cProfile.Profile()  # simlint: ignore[SIM101]
-    profiler.enable()
-    try:
-        return fn()
-    finally:
-        profiler.disable()
-        path = f"bench_{name}.prof"
-        profiler.dump_stats(path)
-        print(f"   (profile written to {path})", file=sys.stderr)
 
 
 def _resolve_scale(flag: str | None) -> Scale:
@@ -85,23 +58,11 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.bench",
         description="Reproduce GaussDB-Global's evaluation figures.")
     parser.add_argument("experiment",
-                        choices=sorted(EXPERIMENTS) + ["all", "list", "perf"],
-                        help="which experiment to run ('perf' = wall-clock "
-                             "performance harness)")
+                        choices=sorted(EXPERIMENTS) + ["all", "list"],
+                        help="which experiment to run")
     parser.add_argument("--scale", choices=["quick", "full"], default=None,
                         help="client scale; overrides REPRO_BENCH_SCALE "
                              "(default: the environment variable, else quick)")
-    parser.add_argument("--stamp", default=None,
-                        help="label for the BENCH_HISTORY.jsonl record "
-                             "(perf only; default: host UTC time)")
-    parser.add_argument("--repeat", type=int, default=1,
-                        help="perf only: run the scenario N times and "
-                             "report the best run (suppresses host noise)")
-    parser.add_argument("--check", action="store_true",
-                        help="perf only: fail (exit 1) if events/s drops "
-                             ">10%% below the last same-scale "
-                             "BENCH_HISTORY.jsonl record; set "
-                             "REPRO_PERF_ALLOW_REGRESSION=1 to override")
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
@@ -109,27 +70,6 @@ def main(argv: list[str] | None = None) -> int:
             doc_lines = (fn.__doc__ or "").strip().splitlines()
             summary = doc_lines[0] if doc_lines else fn.__name__
             print(f"{name:10s} {summary}")
-        print("perf       Wall-clock perf harness -> BENCH_PERF.json")
-        return 0
-
-    if args.experiment == "perf":
-        # perf has its own scales: quick (CI smoke) and standard (the
-        # baseline-comparison scenario). --scale full maps to standard.
-        perf_scale = (args.scale if args.scale is not None
-                      else _resolve_scale(None).name)
-        stamp = args.stamp
-        if stamp is None:
-            # Host-side wall time labelling the history record only —
-            # never feeds simulated state.
-            now_utc = time.gmtime()  # simlint: ignore[SIM101]
-            stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", now_utc)
-        report = _profiled(
-            lambda: run_perf(perf_scale, stamp=stamp, repeat=args.repeat,
-                             check=args.check), "perf")
-        print(render_perf(report))
-        check = report.get("check")
-        if check is not None and not check["ok"]:
-            return 1
         return 0
 
     scale = _resolve_scale(args.scale)
@@ -137,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         # Host-side progress timing only — never feeds simulated state.
         started = time.time()  # simlint: ignore[SIM101]
-        table = _profiled(lambda fn=EXPERIMENTS[name]: fn(scale), name)
+        table = EXPERIMENTS[name](scale)
         print(table.render())
         print(f"   ({time.time() - started:.1f}s wall)\n")  # simlint: ignore[SIM101]
     return 0

@@ -80,7 +80,7 @@ class GClockSource:
             if earliest > ts:
                 return earliest
             needed = ts - earliest + 1
-            yield self.env.sleep(max(1, round(needed * margin)))
+            yield self.env.timeout(max(1, round(needed * margin)))
 
     def wait_ns_estimate(self, ts: int) -> int:
         """How long the commit wait for ``ts`` would take from now (stats)."""

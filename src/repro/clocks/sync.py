@@ -80,9 +80,9 @@ class ClockSyncDaemon:
 
     def _run(self):
         while True:
-            yield self.env.sleep(self.config.period_ns)
+            yield self.env.timeout(self.config.period_ns)
             # The round trip to the rack-local time device.
-            yield self.env.sleep(self.config.rtt_ns)
+            yield self.env.timeout(self.config.rtt_ns)
             self._apply_sync(boundary=self.env.now)
 
     # ------------------------------------------------------------------

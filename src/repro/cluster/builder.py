@@ -78,7 +78,7 @@ class ClusterConfig:
     trace_max_spans: int | None = 500_000
     #: Telemetry pipeline (repro.obs.timeseries / monitor): windowed
     #: time-series sampling plus the default online SLO monitors. Also
-    #: passive; off by default so the perf-harness digest is unchanged.
+    #: passive; off by default so the pinned smoke digest is unchanged.
     timeseries_enabled: bool = False
     telemetry_window_ns: int = 50_000_000
     #: Monitor rules to attach when telemetry is on. None -> the default

@@ -152,7 +152,7 @@ class ComputingNode(ClusterNode):
         while True:
             if not self.failed:
                 self._refresh_metrics()
-            yield self.env.sleep(self.config.metrics_interval_ns)
+            yield self.env.timeout(self.config.metrics_interval_ns)
 
     def _refresh_metrics(self) -> None:
         """Fire one status probe per data node; replies update the metric
@@ -235,7 +235,7 @@ class ComputingNode(ClusterNode):
                     yield from self._collector.poll(self._on_rcp_computed)
                 else:
                     self._maybe_take_over()
-            yield self.env.sleep(self.config.rcp_poll_interval_ns)
+            yield self.env.timeout(self.config.rcp_poll_interval_ns)
 
     def _on_rcp_computed(self, rcp: int) -> None:
         self._note_rcp_update()
@@ -271,7 +271,7 @@ class ComputingNode(ClusterNode):
                     for primary in self.all_primaries
                 ]
                 yield settle(self.env, requests)
-            yield self.env.sleep(self.config.heartbeat_interval_ns)
+            yield self.env.timeout(self.config.heartbeat_interval_ns)
 
     def _on_notice(self, payload: tuple, message: Message) -> None:
         kind = payload[0]
@@ -304,7 +304,7 @@ class ComputingNode(ClusterNode):
         yield self.pool.acquire()
         try:
             if self.config.statement_cost_ns:
-                yield self.env.sleep(self.config.statement_cost_ns)
+                yield self.env.timeout(self.config.statement_cost_ns)
         finally:
             self.pool.release()
             if self.env.metrics_on:

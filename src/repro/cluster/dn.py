@@ -127,7 +127,7 @@ class DataNode(ClusterNode):
         yield self.pool.acquire()
         try:
             if cost_ns:
-                yield self.env.sleep(cost_ns)
+                yield self.env.timeout(cost_ns)
         finally:
             self.pool.release()
         self.ops_served += 1
@@ -136,7 +136,7 @@ class DataNode(ClusterNode):
         """Start the background MVCC vacuum loop."""
         def loop():
             while True:
-                yield self.env.sleep(interval_ns)
+                yield self.env.timeout(interval_ns)
                 if self.failed:
                     continue
                 if self.is_primary and self.engine is not None:
@@ -252,8 +252,8 @@ class DataNode(ClusterNode):
     # One-way notices: redo batches and acks
     # ------------------------------------------------------------------
     #: Truncate the WAL prefix once this many records are applied
-    #: everywhere (amortizes the list surgery and keeps the record pools
-    #: warm without truncating on every ack).
+    #: everywhere (amortizes the list surgery instead of truncating on
+    #: every ack).
     wal_truncate_batch = 1024
 
     def _on_notice(self, payload: tuple, message: Message) -> None:
@@ -273,7 +273,7 @@ class DataNode(ClusterNode):
             self._maybe_truncate_wal()
 
     def _maybe_truncate_wal(self) -> None:
-        """Recycle the WAL prefix every replica has already applied.
+        """Drop the WAL prefix every replica has already applied.
 
         Safe because catch-up fetches start at the requester's enqueued
         LSN (>= its applied LSN) and in-flight batches only carry records
@@ -317,8 +317,8 @@ class DataNode(ClusterNode):
         self.replayer.enqueue(fresh)
         self._enqueued_lsn = fresh[-1].lsn
         # Ack persistence of the contiguous prefix (quorum is on receipt);
-        # piggyback the applied watermark so the primary can truncate and
-        # recycle the fully-replayed WAL prefix at no extra message cost.
+        # piggyback the applied watermark so the primary can truncate the
+        # fully-replayed WAL prefix at no extra message cost.
         self.network.send(self.name, src,
                           ("redo_ack", self.name, self._enqueued_lsn,
                            self.store.applied_lsn),

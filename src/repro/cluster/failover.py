@@ -75,7 +75,7 @@ class FailoverManager:
 
     def _run(self):
         while True:
-            yield self.env.sleep(self.probe_interval_ns)
+            yield self.env.timeout(self.probe_interval_ns)
             probes = {
                 shard: self.network.request(
                     self.name, primary.name, ("status",),

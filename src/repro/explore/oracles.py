@@ -22,9 +22,6 @@ trial is judged by structural oracles that need no workload semantics:
   commits up to the RCP its CNs advertised: clients were promised replica
   reads at that point are strongly consistent. The pre-PR-8 promotion
   bug is exactly a violation of this oracle.
-- **wal-pool-aliasing** — no recycled redo-record shell may still be
-  reachable from the live WAL window (the PR-9 pooling safety argument,
-  checked by object identity).
 
 Oracles only inspect state; none of them schedules events before the run
 ends, so an oracle-checked trial has the same event history as a bare one
@@ -142,24 +139,6 @@ def check_promotion_coverage(db: "GlobalDB") -> list[TrialViolation]:
                 f"redo frontier {event.rcp_gap_unhealed}ns below the "
                 f"advertised RCP at t={event.at_ns}ns — strongly-consistent "
                 f"replica reads at the RCP were not serviceable"))
-    return violations
-
-
-def check_wal_pool_aliasing(db: "GlobalDB") -> list[TrialViolation]:
-    """No pooled (recycled) redo shell may alias the live WAL window."""
-    violations = []
-    for primary in db.primaries:
-        wal = primary.engine.wal
-        pooled_ids = {id(record) for pool in wal._pools.values()
-                      for record in pool}
-        if not pooled_ids:
-            continue
-        for record in wal._records:
-            if id(record) in pooled_ids:
-                violations.append(TrialViolation(
-                    "wal-pool-aliasing",
-                    f"{primary.name}: recycled redo shell lsn={record.lsn} "
-                    f"is still reachable from the live WAL window"))
     return violations
 
 

@@ -28,7 +28,6 @@ from repro.explore.oracles import (
     check_frontier_coverage,
     check_progress,
     check_promotion_coverage,
-    check_wal_pool_aliasing,
     san_violations,
 )
 from repro.explore.spec import TrialSpec
@@ -155,7 +154,6 @@ def run_trial(spec: TrialSpec, inject_bug: str | None = None) -> TrialResult:
     oracle_violations.extend(probe.violations())
     oracle_violations.extend(check_promotion_coverage(db))
     oracle_violations.extend(check_frontier_coverage(db))
-    oracle_violations.extend(check_wal_pool_aliasing(db))
     oracle_violations.extend(san_violations(db))
 
     violations = ([violation.to_dict() for violation in report.violations]

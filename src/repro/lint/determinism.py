@@ -46,7 +46,7 @@ def smoke_run(duration_s: float = DEFAULT_DURATION_S,
     ``telemetry=True`` additionally enables the windowed time-series and
     default SLO monitors and reports the monitor's alert-stream digest —
     proving the *telemetry pipeline itself* is hash-order independent.
-    (The perf harness's pinned digest uses ``telemetry=False``, the
+    (The pinned smoke digest uses ``telemetry=False``, the
     pre-telemetry configuration, so the recording stays comparable.)
 
     ``sanitize=True`` installs the :mod:`repro.san` runtime sanitizer and

@@ -92,7 +92,7 @@ class Replayer:
                 started = self.env.now
                 delay = self.replay_delay_ns(len(records))
                 if delay:
-                    yield self.env.sleep(delay)
+                    yield self.env.timeout(delay)
                 self.store.apply_batch(records)
                 self.batches_replayed += 1
                 if self.env.metrics_on:

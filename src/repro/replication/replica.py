@@ -101,7 +101,7 @@ class ReplicaStore:
         self.clog.ensure(record.txid)
         heap = self.table(record.table)
         # The after-image is adopted, not copied (image immutability,
-        # :mod:`repro.storage.heap`); the record shell may be recycled.
+        # :mod:`repro.storage.heap`).
         version = RowVersion(key=record.key, data=record.row, xmin=record.txid)
         heap.add_version(version)
         self._note_undo(record.txid, ("insert", heap, version, None))

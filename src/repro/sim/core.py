@@ -10,7 +10,7 @@ The kernel is deterministic: ties at equal timestamps are broken by a
 monotonically increasing sequence number, so two runs with the same seeds
 produce identical histories.
 
-Scheduler design (the perf harness in ``repro.bench.perf`` measures this):
+Scheduler design (``benchmarks/perf`` measures this):
 
 The queue is a three-level calendar structure instead of a single binary
 heap. The invariant it preserves is the heap kernel's total order —
@@ -48,9 +48,12 @@ Other hot-path notes:
   un-inlined kernel produced (``events_scheduled`` still reports it).
 - :meth:`Environment.defer` schedules a bare ``fn(arg)`` call without
   allocating an :class:`Event`, a callbacks list, or a closure — the
-  network's delivery path uses it for every message. Fired ``_Call``
-  entries are recycled through a free list; :meth:`Environment.withdraw`
-  takes an unfired one back, so a deadline ends with its request.
+  network's delivery path uses it for every message.
+  :meth:`Environment.withdraw` takes an unfired one back, so a deadline
+  ends with its request.
+- Nothing is recycled: queue entries, messages and timers are allocated
+  fresh and left to reference counting, so no handle can come to name
+  somebody else's work.
 - The ``run`` loops inline the dispatch (no per-event ``step()`` call).
 - ``metrics_on`` / ``trace_on`` cache the observability toggles;
   ``hooks_net`` / ``hooks_txn`` fold them (plus ``san``/``history``) into
@@ -111,7 +114,7 @@ class Process(Event):
     can therefore ``yield proc`` to join on it.
     """
 
-    __slots__ = ("_generator", "name", "_target", "_sleep")
+    __slots__ = ("_generator", "name", "_target")
 
     def __init__(self, env: "Environment", generator: typing.Generator,
                  name: str | None = None):
@@ -121,20 +124,12 @@ class Process(Event):
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Event | None = None
-        self._sleep: Timeout | None = None
         # Kick off the generator at the current time, urgently so a process
         # spawned "now" starts before pending normal-priority events. The
         # shared start signal replaces a per-process init Event; it consumes
         # one sequence number exactly like the Event used to.
         env._seq += 1
-        pool = env._call_pool
-        if pool:
-            call = pool.pop()
-            call.fn = self._resume
-            call.arg = _START
-        else:
-            call = _Call(self._resume, _START)
-        env._lane_urgent.append(call)
+        env._lane_urgent.append(_Call(self._resume, _START))
 
     @property
     def is_alive(self) -> bool:
@@ -227,8 +222,6 @@ class Environment:
         self._buckets_urgent: dict[int, list] = {}
         self._times: list[int] = []
         self._seq = 0
-        #: Free list of fired ``_Call`` entries for :meth:`defer` to reuse.
-        self._call_pool: list[_Call] = []
         self._active_process: Process | None = None
         # Observability handles (see repro.obs). The defaults are shared
         # no-op singletons, so instrumentation costs one attribute check
@@ -277,7 +270,7 @@ class Environment:
 
     @property
     def events_scheduled(self) -> int:
-        """Total queue pushes so far (the perf harness's events metric)."""
+        """Total queue pushes so far (the benchmark's events metric)."""
         return self._seq
 
     @property
@@ -299,47 +292,6 @@ class Environment:
     def process(self, generator: typing.Generator, name: str | None = None) -> Process:
         """Start a new process driving ``generator``."""
         return Process(self, generator, name=name)
-
-    def sleep(self, delay: int, value: typing.Any = None) -> Timeout:
-        """Like :meth:`timeout`, but recycles the calling process's
-        previous sleep timer once it has fully fired.
-
-        Contract: the returned event must be yielded immediately by the
-        calling process and never handed to anyone else — the same object
-        comes back from the process's next ``sleep`` call. Yielding it
-        inside an ``any_of`` is fine: a timer that loses the race keeps
-        its pending callbacks list, which blocks reuse until it fires.
-        """
-        proc = self._active_process
-        if proc is None:
-            return Timeout(self, delay, value)
-        timer = proc._sleep
-        if timer is None or timer.callbacks is not None:
-            timer = Timeout(self, delay, value)
-            proc._sleep = timer
-            return timer
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        timer.callbacks = []
-        timer._value = value
-        timer._exception = None
-        timer._ok = True
-        timer.defused = False
-        timer.delay = delay
-        self._seq += 1
-        if delay == 0:
-            self._lane_normal.append(timer)
-        else:
-            when = self.now + delay
-            buckets = self._buckets
-            bucket = buckets.get(when)
-            if bucket is None:
-                buckets[when] = [timer]
-                if when not in self._buckets_urgent:
-                    heappush(self._times, when)
-            else:
-                bucket.append(timer)
-        return timer
 
     # ------------------------------------------------------------------
     # Scheduling and execution
@@ -374,17 +326,10 @@ class Environment:
     def defer(self, delay: int, fn, arg) -> _Call:
         """Schedule ``fn(arg)`` to run ``delay`` ns from now at normal
         priority, without allocating an Event. Consumes one sequence
-        number, exactly like scheduling an event would. Fired entries are
-        recycled, so whoever keeps the returned ``_Call`` (to
-        :meth:`withdraw` it) must drop it when ``fn`` runs.
+        number, exactly like scheduling an event would. The returned
+        ``_Call`` is the handle :meth:`withdraw` takes.
         """
-        pool = self._call_pool
-        if pool:
-            call = pool.pop()
-            call.fn = fn
-            call.arg = arg
-        else:
-            call = _Call(fn, arg)
+        call = _Call(fn, arg)
         self._seq += 1
         if delay <= 0:
             call.when = self.now
@@ -402,14 +347,13 @@ class Environment:
         return call
 
     def withdraw(self, call: _Call) -> None:
-        """Take back an unfired :meth:`defer`: ``fn`` will not run.
+        """Take back a :meth:`defer`: ``fn`` will not run.
 
-        Only the holder of the handle may call this, once, and only while
-        the entry is unfired — the rule ``defer`` states. A future entry
-        leaves its bucket and is recycled at once (an emptied bucket is
-        deleted; its timestamp stays on the heap as an empty tick). An
-        entry whose tick is already in the lanes stays where it is and
-        fires as a no-op. No sequence number is consumed or returned.
+        A future entry leaves its bucket (an emptied bucket is deleted;
+        its timestamp stays on the heap as an empty tick). An entry whose
+        tick is already in the lanes stays where it is and fires as a
+        no-op; one that already fired is left alone. No sequence number is
+        consumed or returned.
         """
         bucket = self._buckets.get(call.when)
         if bucket is None:
@@ -419,8 +363,6 @@ class Environment:
         bucket.remove(call)
         if not bucket:
             del self._buckets[call.when]
-        call.fn = call.arg = None
-        self._call_pool.append(call)
 
     def _advance(self, when: int) -> None:
         """Move the clock to ``when`` and swap that tick's buckets in as
@@ -471,8 +413,6 @@ class Environment:
             self._advance(heappop(times))
         if entry.__class__ is _Call:
             entry.fn(entry.arg)
-            entry.fn = entry.arg = None
-            self._call_pool.append(entry)
             return
         callbacks = entry.callbacks
         entry.callbacks = None
@@ -494,7 +434,6 @@ class Environment:
         The dispatch loops are inlined copies of :meth:`step` — the per-event
         function call is measurable at the scales the bench harness runs.
         """
-        call_pool = self._call_pool
         if isinstance(until, Event):
             stop = until
             while stop.callbacks is not None:
@@ -518,8 +457,6 @@ class Environment:
                         continue
                 if entry.__class__ is _Call:
                     entry.fn(entry.arg)
-                    entry.fn = entry.arg = None
-                    call_pool.append(entry)
                     continue
                 callbacks = entry.callbacks
                 entry.callbacks = None
@@ -557,8 +494,6 @@ class Environment:
                         continue
                 if entry.__class__ is _Call:
                     entry.fn(entry.arg)
-                    entry.fn = entry.arg = None
-                    call_pool.append(entry)
                     continue
                 callbacks = entry.callbacks
                 entry.callbacks = None
@@ -587,8 +522,6 @@ class Environment:
                     continue
             if entry.__class__ is _Call:
                 entry.fn(entry.arg)
-                entry.fn = entry.arg = None
-                call_pool.append(entry)
                 continue
             callbacks = entry.callbacks
             entry.callbacks = None

@@ -152,12 +152,6 @@ class Network:
         self.default_latency_ns = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
-        # Free list of Message shells. Only messages that provably cannot
-        # have escaped _deliver (RPC replies, drops to dead endpoints) are
-        # recycled, and never while the sanitizer is installed — repro.san
-        # keys in-flight fingerprints by id(message), which recycling
-        # would alias.
-        self._msg_pool: list[Message] = []
 
     # ------------------------------------------------------------------
     # Topology management
@@ -295,17 +289,7 @@ class Network:
                 env.tracer.complete("net", _payload_kind(payload), now, deliver_at,
                                     track=f"net:{src}->{dst}", size=size_bytes)
             san = env.san
-        pool = self._msg_pool
-        if pool:
-            message = pool.pop()
-            message.src = src
-            message.dst = dst
-            message.payload = payload
-            message.size_bytes = size_bytes
-            message.send_time = now
-            message.deliver_time = deliver_at
-        else:
-            message = Message(src, dst, payload, size_bytes, now, deliver_at)
+        message = Message(src, dst, payload, size_bytes, now, deliver_at)
         if san is not None:
             # Fingerprint the payload as it leaves the sender; _deliver
             # re-verifies it just before the handler runs.
@@ -322,9 +306,6 @@ class Network:
             if self.env.metrics_on:
                 self.env.metrics.counter("net.dropped", src=message.src,
                                          dst=message.dst).inc()
-            if san is None:
-                message.payload = None
-                self._msg_pool.append(message)
             return
         self.messages_delivered += 1
         endpoint.messages_received += 1
@@ -333,11 +314,6 @@ class Network:
         if isinstance(payload, tuple) and payload and payload[0] in (
                 "__rpc_reply__", "__rpc_fail__"):
             kind, reply_event, value = payload
-            # The reply is fully consumed right here — the Message shell
-            # cannot have escaped, so it is safe to recycle.
-            if san is None:
-                message.payload = None
-                self._msg_pool.append(message)
             if reply_event.triggered:
                 return  # caller timed out / gave up
             deadline = reply_event.deadline
@@ -375,7 +351,7 @@ class Network:
         return reply_event
 
     def _expire(self, reply_event: "_Reply") -> None:
-        reply_event.deadline = None  # fired: the kernel recycles the entry
+        reply_event.deadline = None  # the entry refers back: break the cycle
         if not reply_event.triggered:
             reply_event.fail(NetworkError(f"RPC to {reply_event.dst} timed out"))
 

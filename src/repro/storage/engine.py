@@ -135,24 +135,13 @@ class StorageEngine:
     def log_pending_commit(self, txid: int) -> int:
         """§IV-A: written before the commit timestamp is obtained."""
         self._unresolved.setdefault(txid, Event(self.env))
-        record = self.wal.take(RedoPendingCommit)
-        if record is None:
-            record = RedoPendingCommit(txid=txid)
-        else:
-            record.txid = txid
-        return self.wal.append(record)
+        return self.wal.append(RedoPendingCommit(txid=txid))
 
     def commit(self, txid: int, commit_ts: int) -> int:
         """Commit locally and log the commit record. Returns its LSN."""
         self.clog.commit(txid, commit_ts)
         self._undo.pop(txid, None)
-        record = self.wal.take(RedoCommit)
-        if record is None:
-            record = RedoCommit(txid=txid, commit_ts=commit_ts)
-        else:
-            record.txid = txid
-            record.commit_ts = commit_ts
-        lsn = self.wal.append(record)
+        lsn = self.wal.append(RedoCommit(txid=txid, commit_ts=commit_ts))
         self.locks.release_all(txid)
         self._note_commit_ts(commit_ts)
         self._resolve(txid)
@@ -201,13 +190,7 @@ class StorageEngine:
     def heartbeat(self, commit_ts: int) -> int:
         """Log a heartbeat so idle replicas keep advancing (§IV-A)."""
         self._note_commit_ts(commit_ts)
-        record = self.wal.take(RedoHeartbeat)
-        if record is None:
-            record = RedoHeartbeat(txid=0, commit_ts=commit_ts)
-        else:
-            record.txid = 0
-            record.commit_ts = commit_ts
-        return self.wal.append(record)
+        return self.wal.append(RedoHeartbeat(txid=0, commit_ts=commit_ts))
 
     def _note_commit_ts(self, commit_ts: int) -> None:
         if commit_ts > self.last_commit_ts:
@@ -271,16 +254,8 @@ class StorageEngine:
         version = RowVersion(key=key, data=dict(row), xmin=txid)
         heap.add_version(version)
         self._undo[txid].append(("insert", heap, version, None))
-        record = self.wal.take(RedoInsert)
-        if record is None:
-            record = RedoInsert(txid=txid, table=table, key=key,
-                                row=version.data)
-        else:
-            record.txid = txid
-            record.table = table
-            record.key = key
-            record.row = version.data
-        self.wal.append(record)
+        self.wal.append(RedoInsert(txid=txid, table=table, key=key,
+                                   row=version.data))
 
     def update(self, txid: int, table: str, key: tuple,
                changes: typing.Mapping[str, typing.Any]) -> dict | None:
@@ -299,15 +274,8 @@ class StorageEngine:
         version = RowVersion(key=key, data=new_data, xmin=txid)
         heap.add_version(version)
         self._undo[txid].append(("update", heap, version, current))
-        record = self.wal.take(RedoUpdate)
-        if record is None:
-            record = RedoUpdate(txid=txid, table=table, key=key, row=new_data)
-        else:
-            record.txid = txid
-            record.table = table
-            record.key = key
-            record.row = new_data
-        self.wal.append(record)
+        self.wal.append(RedoUpdate(txid=txid, table=table, key=key,
+                                   row=new_data))
         return new_data
 
     def delete(self, txid: int, table: str, key: tuple) -> bool:
@@ -319,14 +287,7 @@ class StorageEngine:
             return False
         current.xmax = txid
         self._undo[txid].append(("delete", heap, None, current))
-        record = self.wal.take(RedoDelete)
-        if record is None:
-            record = RedoDelete(txid=txid, table=table, key=key)
-        else:
-            record.txid = txid
-            record.table = table
-            record.key = key
-        self.wal.append(record)
+        self.wal.append(RedoDelete(txid=txid, table=table, key=key))
         return True
 
     def current_for_write(self, heap: HeapTable, key: tuple,

@@ -91,7 +91,7 @@ class LockTable:
         return done
 
     def _expire(self, done: "_Wait") -> None:
-        done.deadline = None  # fired: the kernel recycles the entry
+        done.deadline = None  # the entry refers back: break the cycle
         if done.triggered:
             return
         lock_key, txid = done.lock_key, done.txid

@@ -5,30 +5,25 @@ assigns monotonically increasing LSNs and notifies subscribers on append so
 shipping can be latency-driven (flush small batches fast) rather than
 poll-driven.
 
-The buffer also owns the redo-record free lists: once every replica has
-*applied* an LSN (tracked by the primary's :class:`AckTracker`), the prefix
-below it can never be read again — catch-up requests always start at the
-requester's enqueued LSN, which is at least its applied LSN, and in-flight
-batches only carry records above the receiver's applied LSN. Truncating
-that prefix recycles the record shells for the storage engine to reuse,
-so a long benchmark run allocates O(window) redo records, not O(history).
+Once every replica has *applied* an LSN (tracked by the primary's
+:class:`AckTracker`), the prefix below it can never be read again —
+catch-up requests always start at the requester's enqueued LSN, which is
+at least its applied LSN, and in-flight batches only carry records above
+the receiver's applied LSN. Truncating that prefix keeps a long run's WAL
+at O(window) records, not O(history).
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.storage.redo import RedoInsert, RedoRecord, RedoUpdate
-
-#: Max recycled shells kept per record type.
-_POOL_CAP = 512
+from repro.storage.redo import RedoRecord
 
 
 class WalBuffer:
     """An append-only in-memory redo log with subscriber callbacks."""
 
-    def __init__(self, name: str = "wal", start_lsn: int = 1,
-                 pooling: bool = True):
+    def __init__(self, name: str = "wal", start_lsn: int = 1):
         self.name = name
         self._records: list[RedoRecord] = []
         #: LSN of the first record this buffer will hold. Normally 1; a
@@ -38,11 +33,6 @@ class WalBuffer:
         self._next_lsn = start_lsn
         self._subscribers: list[typing.Callable[[RedoRecord], None]] = []
         self.bytes_written = 0
-        #: Whether truncated record shells are recycled (see module
-        #: docstring). Off => truncation still frees the list prefix but
-        #: shells are left to the garbage collector.
-        self.pooling = pooling
-        self._pools: dict[type, list[RedoRecord]] = {}
         self.truncated_records = 0
 
     @property
@@ -77,38 +67,16 @@ class WalBuffer:
         index = max(0, lsn_exclusive - self.start_lsn + 1)
         return self._records[index:]
 
-    def take(self, cls: type) -> RedoRecord | None:
-        """Pop a recycled shell of ``cls`` (caller must reset every field),
-        or None when the pool is empty."""
-        pool = self._pools.get(cls)
-        if pool:
-            return pool.pop()
-        return None
-
     def truncate_below(self, keep_from_lsn: int) -> int:
-        """Drop records with LSN < ``keep_from_lsn`` and recycle their
-        shells. Only call with ``keep_from_lsn`` at most one past the
-        minimum replica applied LSN. Returns the number dropped."""
+        """Drop records with LSN < ``keep_from_lsn``. Only call with
+        ``keep_from_lsn`` at most one past the minimum replica applied
+        LSN. Returns the number dropped."""
         count = keep_from_lsn - self.start_lsn
         if count <= 0:
             return 0
-        dropped = self._records[:count]
         del self._records[:count]
         self.start_lsn = keep_from_lsn
         self.truncated_records += count
-        if self.pooling:
-            pools = self._pools
-            for record in dropped:
-                cls = type(record)
-                pool = pools.get(cls)
-                if pool is None:
-                    pool = pools[cls] = []
-                if len(pool) < _POOL_CAP:
-                    if cls is RedoInsert or cls is RedoUpdate:
-                        # Drop the row reference so pooled shells do not
-                        # pin live row dicts until reuse.
-                        record.row = None
-                    pool.append(record)
         return count
 
     def __len__(self) -> int:

@@ -82,7 +82,7 @@ class MigrationCoordinator:
         dwell_started = self.env.now
         self._mark(report, f"dwell {dwell}ns")
         if dwell:
-            yield self.env.sleep(dwell)
+            yield self.env.timeout(dwell)
         self._note_phase("dwell", dwell_started)
         yield from self._set_gtm_mode(TxnMode.GCLOCK, report)
         yield from self._set_participants_mode(TxnMode.GCLOCK, report)

@@ -149,7 +149,7 @@ class TimestampProvider:
             # Back off before surfacing the abort: a down endpoint fails
             # the request at the same sim instant, and a closed-loop
             # retrier must not spin without advancing time.
-            yield self.env.sleep(ms(1))
+            yield self.env.timeout(ms(1))
             raise TransactionAborted(f"gtm unreachable: {exc}") from None
         return reply
 
@@ -219,7 +219,7 @@ class TimestampProvider:
             _ok, ts, wait_ns = reply
             if wait_ns:
                 started = self.env.now
-                yield self.env.sleep(wait_ns)
+                yield self.env.timeout(wait_ns)
                 self._note_wait(started, txid=txid)
             return ts
         if effective is TxnMode.DUAL:

@@ -105,7 +105,7 @@ def reference_order(program: list) -> tuple[list[tuple[int, int]], int]:
 def schedule_on(env: Environment, node: tuple, fired: list,
                 handles: dict) -> None:
     """``handles`` maps a waiting defer node to its kernel handle; a node
-    leaves it when it fires (the holder's rule) or is withdrawn."""
+    leaves it when it fires or is withdrawn."""
     node_id, delay, kind, children, victims = node
 
     def fire(_arg) -> None:
@@ -200,6 +200,35 @@ class TestCalendarQueueOrder:
         env.defer(5, fired.append, "third")
         env.run()
         assert fired == ["first", "third"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=20), st.booleans(),
+           st.lists(st.integers(min_value=0, max_value=20), min_size=1,
+                    max_size=8))
+    def test_withdrawing_a_fired_entry_is_a_noop(self, delay, same_tick,
+                                                 later):
+        """A handle whose ``fn`` already ran names nothing: withdrawing it,
+        in its own tick or after, cancels none of the defers made since,
+        whatever instant they were made for."""
+        env = Environment()
+        fired: list = []
+        handles = {}
+
+        def defer_then_withdraw(_arg) -> None:
+            for index, later_delay in enumerate(later):
+                env.defer(later_delay, fired.append, index)
+            env.withdraw(handles["done"])
+
+        handles["done"] = env.defer(delay, fired.append, "done")
+        if same_tick:
+            env.defer(delay, defer_then_withdraw, None)
+        else:
+            env.run()
+            defer_then_withdraw(None)
+        env.run()
+        by_delay = sorted(range(len(later)), key=later.__getitem__)
+        assert fired == ["done", *by_delay]
+        assert env.events_scheduled == 1 + same_tick + len(later)
 
     def test_same_tick_urgent_beats_earlier_normal(self):
         """Priority dominates insertion order within one tick."""

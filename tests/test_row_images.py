@@ -35,11 +35,11 @@ def test_replica_versions_hold_the_primarys_images():
     doomed = db.primaries[1]
 
     def faults():
-        yield db.env.sleep(ms(300))
+        yield db.env.timeout(ms(300))
         lagging.fail()
-        yield db.env.sleep(ms(300))
+        yield db.env.timeout(ms(300))
         lagging.recover()  # the next batch arrives with a gap: catch-up
-        yield db.env.sleep(ms(100))
+        yield db.env.timeout(ms(100))
         doomed.fail()      # promotion, then a rebuild of the other replica
 
     db.env.process(faults(), name="faults")

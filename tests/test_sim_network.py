@@ -158,8 +158,8 @@ def test_late_rpc_reply_after_timeout_is_ignored():
     net.set_handler("b", slow_server)
     outcomes = []
 
-    # Once the deadline has fired its queue entry is recycled: these
-    # defers reuse the shell, and the late reply must not withdraw them.
+    # The deadline already fired when the late reply lands, so the reply
+    # must withdraw nothing: defers made after the timeout all run.
     reused = []
 
     def client():

@@ -508,45 +508,3 @@ class TestZeroCommitGuards:
         dashboard = Dashboard(spans=[span.to_dict()
                                      for span in db.env.tracer.spans])
         assert "no complete traced transactions" in dashboard.render_text()
-
-
-class TestBenchHistory:
-    def test_run_perf_appends_history_record(self, tmp_path, monkeypatch):
-        import repro.bench.perf as perf
-
-        monkeypatch.setattr(perf, "check_determinism",
-                            lambda: {"ok": True, "digest": "d" * 64,
-                                     "spans": 1, "committed": 1})
-        monkeypatch.setattr(perf, "run_scenario", lambda scale: {
-            "scale": "quick", "wall_s": 0.1, "events": 10,
-            "events_per_sec": 100.0, "committed": 5,
-            "committed_txns_per_wall_s": 50.0, "peak_rss_kb": 1234})
-        out = tmp_path / "BENCH_PERF.json"
-        history = tmp_path / "BENCH_HISTORY.jsonl"
-        for stamp in ("run-1", "run-2"):
-            perf.run_perf("quick", out_path=str(out),
-                          history_path=str(history), stamp=stamp)
-        lines = history.read_text().splitlines()
-        assert len(lines) == 2
-        records = [json.loads(line) for line in lines]
-        assert [record["stamp"] for record in records] == ["run-1", "run-2"]
-        assert records[0] == {
-            "stamp": "run-1", "scale": "quick", "events_per_sec": 100.0,
-            "committed_txns_per_wall_s": 50.0, "peak_rss_kb": 1234,
-            "digest_ok": True}
-        # The full report is still overwritten in place.
-        assert json.loads(out.read_text())["determinism"]["ok"] is True
-
-    def test_history_disabled_with_none(self, tmp_path, monkeypatch):
-        import repro.bench.perf as perf
-
-        monkeypatch.setattr(perf, "check_determinism",
-                            lambda: {"ok": True, "digest": "d" * 64,
-                                     "spans": 1, "committed": 1})
-        monkeypatch.setattr(perf, "run_scenario", lambda scale: {
-            "scale": "quick", "wall_s": 0.1, "events": 10,
-            "events_per_sec": 100.0, "committed": 5,
-            "committed_txns_per_wall_s": 50.0, "peak_rss_kb": 1234})
-        out = tmp_path / "BENCH_PERF.json"
-        perf.run_perf("quick", out_path=str(out), history_path=None)
-        assert not (tmp_path / "BENCH_HISTORY.jsonl").exists()
