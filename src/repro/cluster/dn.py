@@ -10,7 +10,12 @@ at the RCP, holding back readers that touch unresolved transactions.
 Execution cost model: each operation spends ``CostModel`` CPU time inside a
 bounded worker pool (semaphore), giving nodes a realistic saturation point.
 Lock waits happen *outside* the pool so a lock convoy cannot deadlock the
-executor.
+executor. A request's handler is a generator served by
+:meth:`~repro.sim.core.Environment.serve` from the delivery that brought
+the request, not a per-request ``Process``: it starts at delivery and
+schedules nothing when it returns. Its queue entries are the model's own:
+the pool acquire (which queues it behind same-tick work), the CPU-time
+timeout, lock and commit-window waits, and the reply message.
 """
 
 from __future__ import annotations
@@ -103,9 +108,12 @@ class DataNode(ClusterNode):
         return self.store.max_commit_ts
 
     def _spawn(self, generator, kind: str) -> None:
+        """Serve one request's handler generator. Every caller is a
+        ``_handle_*`` method run by ``Network._deliver`` and spawns last,
+        which is :meth:`Environment.serve`'s precondition."""
         if self.env.metrics_on or self.env.trace_on:
             generator = self._observed(generator, kind)
-        self.env.process(generator, name=f"{self.name}:{kind}")
+        self.env.serve(generator)
 
     def _observed(self, generator, kind: str):
         """Delegating wrapper recording a handler's service time. Pure

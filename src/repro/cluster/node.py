@@ -93,4 +93,4 @@ class ClusterNode:
             yield from self.provider.set_mode(mode)
             request.reply(("ok", self.name))
 
-        self.env.process(run(), name=f"{self.name}:set_mode")
+        self.env.serve(run())

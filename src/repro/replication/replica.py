@@ -59,7 +59,9 @@ class ReplicaStore:
         # txid -> list of versions whose predecessor we ended (for abort undo)
         self._txn_versions: dict[int, list[tuple]] = {}
         # Unresolved transactions: PENDING_COMMIT/PREPARE seen, outcome not.
-        self._unresolved: dict[int, Event] = {}
+        # The value is the event a blocked reader waits on, made only once
+        # one blocks.
+        self._unresolved: dict[int, Event | None] = {}
         # Readers waiting for the applied frontier to reach a timestamp
         # (safe-time waits): list of (threshold_ts, event).
         self._frontier_waiters: list[tuple[int, Event]] = []
@@ -143,12 +145,12 @@ class ReplicaStore:
 
     def _apply_pending_commit(self, record: RedoPendingCommit) -> None:
         self.clog.ensure(record.txid)
-        self._unresolved.setdefault(record.txid, Event(self.env))
+        self._unresolved.setdefault(record.txid, None)
 
     def _apply_prepare(self, record: RedoPrepare) -> None:
         self.clog.ensure(record.txid)
         self.clog.prepare(record.txid)
-        self._unresolved.setdefault(record.txid, Event(self.env))
+        self._unresolved.setdefault(record.txid, None)
 
     def _apply_commit(self, record: RedoCommit | RedoCommitPrepared) -> None:
         self.clog.ensure(record.txid)
@@ -209,7 +211,7 @@ class ReplicaStore:
 
     def _resolve(self, txid: int) -> None:
         event = self._unresolved.pop(txid, None)
-        if event is not None and not event.triggered:
+        if event is not None:
             event.succeed(txid)
 
     _APPLY: typing.ClassVar[dict] = {}
@@ -241,10 +243,6 @@ class ReplicaStore:
                 break  # chain invariant: all below is committed and ended
         return None
 
-    def resolution_event(self, txid: int) -> Event | None:
-        """Event that fires when ``txid``'s outcome record is replayed."""
-        return self._unresolved.get(txid)
-
     def read(self, table: str, key: tuple, snapshot: Snapshot) -> dict | None:
         """Non-blocking visible read (caller must have cleared holdbacks)."""
         return self.table(table).read(key, snapshot, self.clog)
@@ -270,9 +268,9 @@ class ReplicaStore:
             txid = self.blocking_txid(table, key)
             if txid is None:
                 return self.table(table).read(key, snapshot, self.clog)
-            event = self.resolution_event(txid)
+            event = self._unresolved[txid]
             if event is None:
-                continue
+                event = self._unresolved[txid] = Event(self.env)
             yield event
 
     def scan(self, table: str, snapshot: Snapshot,

@@ -4,7 +4,9 @@
 nanoseconds of *true* time). :class:`Process` drives a Python generator:
 each ``yield``-ed :class:`~repro.sim.events.Event` suspends the process until
 the event fires, at which point the event's value is sent back into the
-generator (or its exception thrown).
+generator (or its exception thrown). :meth:`Environment.serve` drives a
+generator nobody joins the same way without the process: it starts inside
+the caller and schedules nothing when it returns.
 
 The kernel is deterministic: ties at equal timestamps are broken by a
 monotonically increasing sequence number, so two runs with the same seeds
@@ -51,6 +53,11 @@ Other hot-path notes:
   network's delivery path uses it for every message.
   :meth:`Environment.withdraw` takes an unfired one back, so a deadline
   ends with its request.
+- :meth:`Environment.serve` runs a message handler's generator without a
+  :class:`Process`: no urgent-lane kickoff, no completion event. Called as
+  the last action of a normal-lane delivery (its precondition), it is
+  order-equivalent to ``env.process``; a data node serves every request
+  this way, two queue entries fewer each.
 - Nothing is recycled: queue entries, messages and timers are allocated
   fresh and left to reference counting, so no handle can come to name
   somebody else's work.
@@ -89,10 +96,10 @@ class _Call:
 
 
 class _StartSignal:
-    """Shared do-nothing "event" delivered to a process's first resume.
+    """Shared do-nothing "event" delivered to a generator's first resume.
 
-    ``Process._resume`` only reads ``_ok``/``_value`` on the success path,
-    so one immutable instance serves every process kickoff."""
+    ``Process._resume`` and ``_Served._resume`` only read ``_ok``/``_value``
+    on the success path, so one immutable instance serves every kickoff."""
 
     __slots__ = ()
     _ok = True
@@ -161,8 +168,6 @@ class Process(Event):
 
     def _resume(self, event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        env = self.env
-        env._active_process = self
         generator = self._generator
         while True:
             try:
@@ -173,19 +178,16 @@ class Process(Event):
                     yielded = generator.throw(event._exception)
             except StopIteration as stop:
                 self._target = None
-                env._active_process = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
                 self._target = None
-                env._active_process = None
                 self._ok = False
                 self._exception = exc
-                env.schedule(self, priority=PRIORITY_URGENT)
+                self.env.schedule(self, priority=PRIORITY_URGENT)
                 return
 
             if not isinstance(yielded, Event):
-                env._active_process = None
                 raise SimulationError(
                     f"process {self.name!r} yielded a non-event: {yielded!r}")
             callbacks = yielded.callbacks
@@ -195,7 +197,41 @@ class Process(Event):
                 continue
             callbacks.append(self._resume)
             self._target = yielded
-            env._active_process = None
+            return
+
+
+class _Served:
+    """A generator driven by :meth:`Environment.serve`: the resume half of
+    :class:`Process` without the event half. Nothing can join or interrupt
+    it, so it has no name, no target and no completion."""
+
+    __slots__ = ("_generator",)
+
+    def __init__(self, generator: typing.Generator):
+        self._generator = generator
+
+    def _resume(self, event) -> None:
+        """Advance the generator with ``event``'s outcome, exactly as
+        ``Process._resume`` does; a return ends it silently and an
+        exception propagates to whoever dispatched ``event``."""
+        generator = self._generator
+        while True:
+            try:
+                if event._ok:
+                    yielded = generator.send(event._value)
+                else:
+                    event.defused = True
+                    yielded = generator.throw(event._exception)
+            except StopIteration:
+                return
+            if not isinstance(yielded, Event):
+                raise SimulationError(
+                    f"{generator!r} yielded a non-event: {yielded!r}")
+            callbacks = yielded.callbacks
+            if callbacks is None:
+                event = yielded
+                continue
+            callbacks.append(self._resume)
             return
 
 
@@ -222,7 +258,6 @@ class Environment:
         self._buckets_urgent: dict[int, list] = {}
         self._times: list[int] = []
         self._seq = 0
-        self._active_process: Process | None = None
         # Observability handles (see repro.obs). The defaults are shared
         # no-op singletons, so instrumentation costs one attribute check
         # when disabled; repro.obs.enable_observability swaps in live ones.
@@ -273,11 +308,6 @@ class Environment:
         """Total queue pushes so far (the benchmark's events metric)."""
         return self._seq
 
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
     # ------------------------------------------------------------------
     # Event creation helpers
     # ------------------------------------------------------------------
@@ -292,6 +322,27 @@ class Environment:
     def process(self, generator: typing.Generator, name: str | None = None) -> Process:
         """Start a new process driving ``generator``."""
         return Process(self, generator, name=name)
+
+    def serve(self, generator: typing.Generator) -> None:
+        """Run ``generator`` as a handler nobody joins: its first step runs
+        now, inside the caller, and it then resumes through the callbacks
+        of the events it yields, exactly as a :class:`Process` would. No
+        ``Process`` or ``Event`` is allocated and nothing is scheduled when
+        it returns; its return value is dropped. An exception it raises
+        propagates out of the dispatch that resumed it (an unjoined failed
+        ``Process`` surfaces from :meth:`run` one entry later).
+
+        Precondition: call it only as the last action of a normal-lane
+        entry, such as a handler invoked by ``Network._deliver``. The
+        urgent lane is empty while a normal-lane entry runs, so the
+        kickoff ``env.process`` would queue is the very next entry, and
+        the completion event of a process nobody joins has no callbacks.
+        Starting inline and dropping the completion therefore dispatches
+        everything else in the same order as ``env.process`` would; only
+        ``events_scheduled`` is two lower. Anything joined, interrupted or
+        started outside a delivery uses :meth:`process`.
+        """
+        _Served(generator)._resume(_START)
 
     # ------------------------------------------------------------------
     # Scheduling and execution

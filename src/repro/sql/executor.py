@@ -55,8 +55,10 @@ _COMPARISONS = {
 # Expression evaluation
 # ----------------------------------------------------------------------
 def evaluate(expr, row: typing.Mapping, params: typing.Sequence):
-    """Evaluate an expression against a row (SQL-ish NULL semantics:
-    comparisons involving NULL are false, arithmetic propagates None)."""
+    """Evaluate an expression against a row with SQL's three-valued logic:
+    a comparison involving NULL is unknown (``None``), ``NOT``/``AND``/``OR``
+    follow Kleene's tables, and arithmetic propagates ``None``. A ``WHERE``
+    keeps a row only when its predicate is true."""
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, Param):
@@ -69,23 +71,33 @@ def evaluate(expr, row: typing.Mapping, params: typing.Sequence):
     if isinstance(expr, UnaryOp):
         value = evaluate(expr.operand, row, params)
         if expr.op == "NOT":
-            return not value
+            return None if value is None else not value
         if expr.op == "-":
             return None if value is None else -value
         raise SqlError(f"unknown unary operator {expr.op}")
     if isinstance(expr, BinaryOp):
         if expr.op == "AND":
-            return bool(evaluate(expr.left, row, params)) and \
-                bool(evaluate(expr.right, row, params))
+            left = evaluate(expr.left, row, params)
+            if left is not None and not left:
+                return False
+            right = evaluate(expr.right, row, params)
+            if right is not None and not right:
+                return False
+            return None if left is None or right is None else True
         if expr.op == "OR":
-            return bool(evaluate(expr.left, row, params)) or \
-                bool(evaluate(expr.right, row, params))
+            left = evaluate(expr.left, row, params)
+            if left:
+                return True
+            right = evaluate(expr.right, row, params)
+            if right:
+                return True
+            return None if left is None or right is None else False
         left = evaluate(expr.left, row, params)
         right = evaluate(expr.right, row, params)
         compare = _COMPARISONS.get(expr.op)
         if compare is not None:
             if left is None or right is None:
-                return False
+                return None
             return compare(left, right)
         if left is None or right is None:
             return None

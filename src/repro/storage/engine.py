@@ -66,8 +66,9 @@ class StorageEngine:
         # commit timestamp of such a transaction can land *below* an
         # existing snapshot (within the clock error window), so readers
         # touching its tuples block until it resolves — the primary-side
-        # mirror of the replica's PENDING_COMMIT holdback.
-        self._unresolved: dict[int, Event] = {}
+        # mirror of the replica's PENDING_COMMIT holdback. The value is the
+        # event a blocked reader waits on, made only once one blocks.
+        self._unresolved: dict[int, Event | None] = {}
         self.last_commit_ts = 0
 
     # ------------------------------------------------------------------
@@ -134,7 +135,7 @@ class StorageEngine:
 
     def log_pending_commit(self, txid: int) -> int:
         """§IV-A: written before the commit timestamp is obtained."""
-        self._unresolved.setdefault(txid, Event(self.env))
+        self._unresolved.setdefault(txid, None)
         return self.wal.append(RedoPendingCommit(txid=txid))
 
     def commit(self, txid: int, commit_ts: int) -> int:
@@ -168,7 +169,7 @@ class StorageEngine:
     def prepare(self, txid: int) -> int:
         """2PC phase one."""
         self.clog.prepare(txid)
-        self._unresolved.setdefault(txid, Event(self.env))
+        self._unresolved.setdefault(txid, None)
         return self.wal.append(RedoPrepare(txid=txid))
 
     def commit_prepared(self, txid: int, commit_ts: int) -> int:
@@ -198,7 +199,7 @@ class StorageEngine:
 
     def _resolve(self, txid: int) -> None:
         event = self._unresolved.pop(txid, None)
-        if event is not None and not event.triggered:
+        if event is not None:
             event.succeed(txid)
 
     # ------------------------------------------------------------------
@@ -227,9 +228,9 @@ class StorageEngine:
             txid = self.blocking_txid(table, key, snapshot.txid)
             if txid is None:
                 return self.read(table, key, snapshot)
-            event = self._unresolved.get(txid)
+            event = self._unresolved[txid]
             if event is None:
-                continue
+                event = self._unresolved[txid] = Event(self.env)
             yield event
 
     # ------------------------------------------------------------------

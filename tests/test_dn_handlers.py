@@ -146,6 +146,43 @@ class TestWriteConflictSurface:
         assert outcome and "timeout" in outcome[0]
 
 
+class TestRequestEventCost:
+    def test_one_rpc_schedules_a_pinned_number_of_events(self):
+        """Queue pushes from sending one request until its reply fires, on
+        an otherwise idle cluster (no ROR control plane). A read is the
+        request message, the worker-pool acquire, the CPU timeout, the
+        reply message and the reply event; the handler adds no kickoff
+        and no completion, and a commit nobody reads around resolves
+        without an event."""
+        db = build_cluster(ClusterConfig.globaldb(one_region(),
+                                                  ror_enabled=False))
+        session = db.session()
+        session.create_table("t", [("k", "int"), ("v", "int")],
+                             primary_key=["k"])
+        session.begin()
+        session.insert("t", {"k": 1, "v": 10})
+        session.commit()
+        db.run_for(0.3)
+        env, cn = db.env, db.cns[0]
+        primary = db.primaries[db.shard_map.shard_for_key("t", (1,))]
+        txid = 987_654_321
+        calls = [("read", None, None, "t", (1,)),
+                 ("update", txid, "t", (1,), {"v": 11}),
+                 ("commit_local", txid, cn.mode)]
+        scheduled, replies = {}, {}
+
+        def driver():
+            for body in calls:
+                before = env.events_scheduled
+                replies[body[0]] = yield db.network.request(
+                    cn.name, primary.name, body)
+                scheduled[body[0]] = env.events_scheduled - before
+
+        env.run(until=env.process(driver()))
+        assert replies["update"][0] == replies["commit_local"][0] == "ok"
+        assert scheduled == {"read": 5, "update": 8, "commit_local": 7}
+
+
 class TestGtmServerDetails:
     def test_service_time_delays_replies(self):
         db = build_cluster(ClusterConfig.baseline(one_region()))

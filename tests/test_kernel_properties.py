@@ -15,13 +15,20 @@ with the withdrawn entries skipped.
 The pinned-digest test in tests/test_perf_caches.py covers the same
 invariant end-to-end on the full cluster scenario; this file covers it
 exhaustively at the kernel surface.
+
+``TestServe`` checks ``Environment.serve`` the same way: handlers started
+from a deferred call (as ``Network._deliver`` starts a data node's) fire
+the same actions in the same order whether served or run as processes,
+and serving saves exactly the kickoff and the completion.
 """
 
 import heapq
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SimulationError
 from repro.sim.core import Environment
 from repro.sim.events import (
     Event,
@@ -250,3 +257,156 @@ class TestCalendarQueueOrder:
             env.defer(7, fired.append, index)
         env.run()
         assert fired == list(range(50))
+
+
+#: What a handler can do between two logged actions.
+HANDLER_STEPS = ("timeout", "fired", "triggered", "fail", "nested", "defer",
+                 "spawn")
+
+
+@st.composite
+def handler_programs(draw):
+    """Handlers, each ``(delay, steps, hangs)``: delivered by a deferred
+    call ``delay`` ns in, running ``steps`` (none is an immediate return),
+    then returning or, with ``hangs``, waiting forever on an event nobody
+    fires. Background defers interleave with the deliveries."""
+    handlers = draw(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.lists(st.sampled_from(HANDLER_STEPS), max_size=5),
+        st.booleans()), min_size=1, max_size=8))
+    background = draw(st.lists(st.integers(min_value=0, max_value=6),
+                               max_size=6))
+    return handlers, background
+
+
+def run_handlers(program, serve: bool) -> tuple[list, int]:
+    """Run ``program`` with every handler served or run as a process;
+    returns the logged actions and ``events_scheduled``."""
+    handlers, background = program
+    env = Environment()
+    log: list = []
+    fired = env.event().succeed("fired")  # processed once t=0 starts
+
+    def nested(ident, index):
+        yield env.timeout(1)
+        log.append((ident, index, "nested", env.now))
+        return ident
+
+    def child(ident, index):
+        log.append((ident, index, "child", env.now))
+        yield env.timeout(0)
+        log.append((ident, index, "child-done", env.now))
+
+    def handler(ident, steps, hangs):
+        log.append((ident, "start", env.now))
+        for index, step in enumerate(steps):
+            if step == "timeout":
+                value = yield env.timeout(index % 3, index)
+            elif step == "fired":
+                value = yield fired
+            elif step == "triggered":
+                value = yield env.event().succeed(index)
+            elif step == "fail":
+                try:
+                    yield env.event().fail(ValueError(ident))
+                except ValueError as exc:
+                    value = exc.args
+            elif step == "nested":
+                value = yield from nested(ident, index)
+            elif step == "defer":
+                env.defer(0, log.append, (ident, index, "deferred"))
+                value = None
+            else:
+                env.process(child(ident, index))
+                value = None
+            log.append((ident, index, step, value, env.now))
+        if hangs:
+            yield env.event()
+
+    def deliver(spec) -> None:
+        ident, steps, hangs = spec
+        log.append((ident, "delivered", env.now))
+        generator = handler(ident, steps, hangs)
+        if serve:
+            env.serve(generator)
+        else:
+            env.process(generator)
+
+    for ident, (delay, steps, hangs) in enumerate(handlers):
+        env.defer(delay, deliver, (ident, steps, hangs))
+    for ident, delay in enumerate(background):
+        env.defer(delay, log.append, ("background", ident))
+    env.run()
+    return log, env.events_scheduled
+
+
+class TestServe:
+    @settings(max_examples=300, deadline=None)
+    @given(handler_programs())
+    def test_served_handlers_match_processes(self, program):
+        """Same actions in the same order; a served handler saves its
+        kickoff, and its completion too if it finishes."""
+        served, served_events = run_handlers(program, serve=True)
+        spawned, spawned_events = run_handlers(program, serve=False)
+        assert served == spawned
+        handlers, _background = program
+        finished = sum(1 for _delay, _steps, hangs in handlers if not hangs)
+        hung = len(handlers) - finished
+        assert spawned_events - served_events == 2 * finished + hung
+
+    def test_first_step_runs_inside_the_caller(self):
+        env = Environment()
+        log = []
+
+        def handler():
+            log.append("first")
+            yield env.timeout(5)
+            log.append("second")
+
+        env.serve(handler())
+        assert log == ["first"] and env.events_scheduled == 1
+        env.run()
+        assert log == ["first", "second"] and env.now == 5
+
+    def test_exception_in_first_step_propagates_to_the_caller(self):
+        env = Environment()
+
+        def handler():
+            raise KeyError("boom")
+            yield  # pragma: no cover - makes this a generator
+
+        with pytest.raises(KeyError):
+            env.serve(handler())
+
+    def test_exception_after_a_yield_surfaces_from_run(self):
+        env = Environment()
+
+        def handler():
+            yield env.timeout(3)
+            raise KeyError("boom")
+
+        env.defer(1, lambda _arg: env.serve(handler()), None)
+        with pytest.raises(KeyError):
+            env.run()
+        assert env.now == 4
+
+    def test_uncaught_failed_event_surfaces_from_run(self):
+        env = Environment()
+
+        def handler():
+            yield env.event().fail(ValueError("lost"))
+
+        env.defer(0, lambda _arg: env.serve(handler()), None)
+        with pytest.raises(ValueError, match="lost"):
+            env.run()
+
+    def test_yielding_a_non_event_raises(self):
+        env = Environment()
+
+        def handler():
+            yield env.timeout(1)
+            yield 42
+
+        env.serve(handler())
+        with pytest.raises(SimulationError, match="non-event"):
+            env.run()

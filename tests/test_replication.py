@@ -168,6 +168,18 @@ class TestReplicaStore:
         env.run(until=ms(50))
         assert outcomes == [({"k": 5, "v": "x"}, ms(10))]
 
+    def test_resolution_nobody_waits_for_schedules_nothing(self):
+        env, _net, _engine, store, _rep, _shipper, _acks = make_pair()
+        before = env.events_scheduled
+        records = [RedoPendingCommit(txid=9), RedoCommit(txid=9, commit_ts=123)]
+        for lsn, record in enumerate(records, start=1):
+            record.lsn = lsn
+        store.apply(records[0])
+        assert store.unresolved_count() == 1
+        store.apply(records[1])
+        assert store.unresolved_count() == 0
+        assert env.events_scheduled == before
+
     def test_abort_rolls_back_replica_state(self):
         env, _net, engine, store, _rep, _shipper, _acks = make_pair()
         commit_row(engine, 1, 1, "a", ts=100)

@@ -1,5 +1,7 @@
 """Tests for the SQL front-end: lexer, parser, and end-to-end execution."""
 
+import itertools
+
 import pytest
 
 from repro import ClusterConfig, build_cluster, one_region
@@ -125,9 +127,32 @@ class TestParser:
 
 
 class TestExpressionEvaluation:
-    def test_null_comparison_is_false(self):
+    def test_null_comparison_is_unknown(self):
         expr = parse("SELECT * FROM t WHERE a = 1").where
-        assert evaluate(expr, {"a": None}, ()) is False
+        assert evaluate(expr, {"a": None}, ()) is None
+
+    def test_not_and_or_follow_kleene_tables(self):
+        """Three-valued logic: ``None`` is unknown; NOT keeps it unknown,
+        AND is false if either side is, OR is true if either side is."""
+        values = {"t": True, "f": False, "n": None}
+        row = {"t": 1, "f": 2, "n": None}
+        exprs = {name: f"{name} = 1" for name in values}
+        for name, value in values.items():
+            expr = parse(f"SELECT * FROM t WHERE NOT {exprs[name]}").where
+            assert evaluate(expr, row, ()) is (None if value is None
+                                               else not value), name
+        for (left, a), (right, b) in itertools.product(values.items(),
+                                                        repeat=2):
+            both = parse(f"SELECT * FROM t WHERE {exprs[left]} AND "
+                         f"{exprs[right]}").where
+            either = parse(f"SELECT * FROM t WHERE {exprs[left]} OR "
+                           f"{exprs[right]}").where
+            conj = False if False in (a, b) else (None if None in (a, b)
+                                                  else True)
+            disj = True if True in (a, b) else (None if None in (a, b)
+                                                else False)
+            assert evaluate(both, row, ()) is conj, (left, right)
+            assert evaluate(either, row, ()) is disj, (left, right)
 
     def test_equality_on_mixed_types_does_not_order_them(self):
         """``=`` / ``<>`` between a string and an integer are false / true;
@@ -145,7 +170,7 @@ class TestExpressionEvaluation:
                              ("<=", True), (">", False), (">=", False)]:
             expr = parse(f"SELECT * FROM t WHERE a {op} 2").where
             assert evaluate(expr, {"a": 1}, ()) is expected, op
-            assert evaluate(expr, {"a": None}, ()) is False, op
+            assert evaluate(expr, {"a": None}, ()) is None, op
 
     def test_params_bind_in_order(self):
         expr = parse("SELECT * FROM t WHERE a = ? AND b = ?").where
@@ -200,6 +225,19 @@ class TestEndToEnd:
         assert session.execute("SELECT id FROM users WHERE name = 5") == []
         rows = session.execute("SELECT id FROM users WHERE name <> 5")
         assert sorted(row["id"] for row in rows) == [1, 2, 3, 4]
+
+    def test_not_over_a_null_comparison_matches_nothing(self, db_session):
+        """``NOT a = 5`` is unknown where ``a`` is NULL, like ``a <> 5``;
+        a WHERE keeps only rows whose predicate is true."""
+        _db, session = db_session
+        session.execute("INSERT INTO users (id, name, age, city) VALUES "
+                        "(5, 'eve', NULL, 'oslo')")
+        for predicate, expected in [("NOT age = 28", [1, 3]),
+                                    ("age <> 28", [1, 3]),
+                                    ("NOT (age = 28 OR id = 1)", [3]),
+                                    ("age = 28 OR city = 'oslo'", [2, 4, 5])]:
+            rows = session.execute(f"SELECT id FROM users WHERE {predicate}")
+            assert sorted(row["id"] for row in rows) == expected, predicate
 
     def test_aggregates(self, db_session):
         _db, session = db_session

@@ -266,6 +266,64 @@ class TestTwoPhase:
             engine.commit_prepared(1, commit_ts=100)
 
 
+class TestCommitWindowHoldback:
+    """A reader touching a transaction in its commit window blocks until
+    the outcome; the event it waits on exists only once it blocks."""
+
+    @pytest.mark.parametrize("window, outcome, expected", [
+        ("pending", "commit", {"id": 1, "balance": 1, "owner": "a"}),
+        ("pending", "abort", None),
+        ("prepared", "commit", {"id": 1, "balance": 1, "owner": "a"}),
+        ("prepared", "abort", None),
+    ])
+    def test_blocked_reader_wakes_at_resolution(self, window, outcome,
+                                                expected):
+        env, engine = make_engine()
+        engine.begin(1)
+        engine.insert(1, "accounts", {"id": 1, "balance": 1, "owner": "a"})
+        if window == "pending":
+            engine.log_pending_commit(1)
+        else:
+            engine.prepare(1)
+        woke = []
+
+        def reader():
+            row = yield from engine.read_waiting("accounts", (1,),
+                                                 Snapshot(10**15, 2))
+            woke.append((row, env.now))
+
+        def resolver():
+            yield env.timeout(50)
+            if outcome == "abort":
+                (engine.abort if window == "pending"
+                 else engine.abort_prepared)(1)
+            elif window == "pending":
+                engine.commit(1, 100)
+            else:
+                engine.commit_prepared(1, 100)
+
+        env.process(reader())
+        env.process(resolver())
+        env.run()
+        assert woke == [(expected, 50)]
+        assert not engine._unresolved
+
+    @pytest.mark.parametrize("window", ["pending", "prepared"])
+    def test_resolution_nobody_waits_for_schedules_nothing(self, window):
+        env, engine = make_engine()
+        engine.begin(1)
+        engine.insert(1, "accounts", {"id": 1, "balance": 1, "owner": "a"})
+        before = env.events_scheduled
+        if window == "pending":
+            engine.log_pending_commit(1)
+            engine.commit(1, 100)
+        else:
+            engine.prepare(1)
+            engine.commit_prepared(1, 100)
+        assert env.events_scheduled == before
+        assert not engine._unresolved
+
+
 class TestRedoStream:
     def test_dml_streams_records_before_commit(self):
         env, engine = make_engine()
