@@ -23,7 +23,8 @@ def test_ablation_ror(benchmark):
     assert without[3] == 0          # and never when ROR is off
     # Throttled serial replay leaves the RCP several times further behind
     # the frontier (145 ms vs 1 110 ms at quick scale). A ratio, not ``>``:
-    # a "serial" replayer that can still widen under backlog reads 175 ms.
+    # a replica that replays faster than one worker reads 175 ms, and
+    # ``>`` would pass that too.
     fast = rows["parallel replay (x8)"]
     slow = rows["throttled serial replay"]
     assert slow[5] > 3 * fast[5]

@@ -417,17 +417,14 @@ def ablation_ror(scale: Scale | None = None) -> ExperimentTable:
         _attach_observability(table, db, result, label=label)
 
     # --- freshness sub-ablation (write-heavy workload) ------------------
-    # ``max_parallelism`` is the ceiling the replayer widens to under
-    # backlog; a serial replica must not be allowed to widen at all.
-    for label, apply_ns, parallelism, max_parallelism in [
-            ("parallel replay (x8)", us(2), 8, 32),
-            ("throttled serial replay", us(150), 1, 1)]:
+    for label, apply_ns, parallelism in [
+            ("parallel replay (x8)", us(2), 8),
+            ("throttled serial replay", us(150), 1)]:
         db = _build(ClusterConfig.globaldb(three_city()))
         for replica_list in db.replicas.values():
             for replica in replica_list:
                 replica.replayer.apply_ns_per_record = apply_ns
                 replica.replayer.parallelism = parallelism
-                replica.replayer.max_parallelism = max_parallelism
         workload = _tpcc(scale)
         result, ror_reads, fallback, lag = measure(db, workload)
         table.add_row(label, "full tpcc", result.throughput_per_s,

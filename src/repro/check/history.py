@@ -138,7 +138,6 @@ class HistoryRecorder:
 
     def install(self) -> "HistoryRecorder":
         self.env.history = self
-        self.env.rebind_hooks()
         return self
 
     # ------------------------------------------------------------------

@@ -18,7 +18,12 @@ from repro.storage.catalog import TableSchema
 
 
 def stable_hash(value: typing.Any) -> int:
-    """A deterministic hash for distribution keys."""
+    """A deterministic hash for distribution keys. Values equal under
+    ``==`` hash alike: a bool or an integral float hashes as its int, so
+    ``WHERE id = 1.0`` finds the row ``id = 1`` was stored under."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and value.is_integer()):
+        value = int(value)
     digest = hashlib.md5(repr(value).encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -93,7 +93,6 @@ def enable_observability(env, metrics: bool = True, trace: bool = True,
     env.metrics_on = env.metrics.enabled
     env.trace_on = env.tracer.enabled
     env.series_on = env.series.enabled
-    env.rebind_hooks()
     return env.metrics, env.tracer
 
 

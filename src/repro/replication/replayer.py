@@ -5,13 +5,6 @@ Incoming batches queue behind each other; each batch costs
 its records are applied. The paper highlights parallel replay as the reason
 GlobalDB's replicas keep up with the primary; the ``parallelism`` knob lets
 the ablation benchmarks show what serial replay would do to staleness.
-
-Parallelism is *adaptive*: when the received-but-unapplied backlog exceeds
-``widen_backlog_records``, the replayer recruits more apply workers — up to
-``max_parallelism`` (default 4x the base) — and drops back to the base
-level once the backlog drains. This models a replica that spends idle
-cores on catch-up only when it is actually behind, so steady-state replay
-cost stays honest while lag spikes recover quickly.
 """
 
 from __future__ import annotations
@@ -29,17 +22,11 @@ class Replayer:
     """Drives redo application on one :class:`ReplicaStore`."""
 
     def __init__(self, env: Environment, store: ReplicaStore,
-                 apply_ns_per_record: int = us(2), parallelism: int = 8,
-                 max_parallelism: int | None = None,
-                 widen_backlog_records: int = 256):
+                 apply_ns_per_record: int = us(2), parallelism: int = 8):
         self.env = env
         self.store = store
         self.apply_ns_per_record = apply_ns_per_record
         self.parallelism = max(1, parallelism)
-        self.max_parallelism = (max_parallelism if max_parallelism is not None
-                                else self.parallelism * 4)
-        self.widen_backlog_records = max(1, widen_backlog_records)
-        self.widened_batches = 0
         self._queue: deque[list[RedoRecord]] = deque()
         self._wake: Event | None = None
         self.batches_replayed = 0
@@ -63,22 +50,6 @@ class Replayer:
     def backlog_batches(self) -> int:
         return len(self._queue)
 
-    def effective_parallelism(self) -> int:
-        """Apply workers for the next batch: base level, widened by one
-        base level per ``widen_backlog_records`` of unapplied backlog."""
-        backlog = self.max_seen_lsn - self.store.applied_lsn
-        if backlog <= self.widen_backlog_records:
-            return self.parallelism
-        return min(self.max_parallelism,
-                   self.parallelism
-                   * (1 + backlog // self.widen_backlog_records))
-
-    def replay_delay_ns(self, record_count: int) -> int:
-        workers = self.effective_parallelism()
-        if workers != self.parallelism:
-            self.widened_batches += 1
-        return round(record_count * self.apply_ns_per_record / workers)
-
     def _run(self):
         try:
             while True:
@@ -90,7 +61,8 @@ class Replayer:
                 self.busy = True
                 records = self._queue.popleft()
                 started = self.env.now
-                delay = self.replay_delay_ns(len(records))
+                delay = round(len(records) * self.apply_ns_per_record
+                              / self.parallelism)
                 if delay:
                     yield self.env.timeout(delay)
                 self.store.apply_batch(records)

@@ -25,6 +25,7 @@ from repro.sim.core import Environment
 from repro.sim.events import Event
 from repro.storage.catalog import Catalog
 from repro.storage.clog import CommitLog, TxnStatus
+from repro.storage.engine import CommitHoldback
 from repro.storage.heap import HeapTable, RowVersion
 from repro.storage.redo import (
     RedoAbort,
@@ -44,7 +45,7 @@ from repro.storage.snapshot import Snapshot
 from repro.storage.vacuum import vacuum_tables
 
 
-class ReplicaStore:
+class ReplicaStore(CommitHoldback):
     """Applied state of one shard replica."""
 
     def __init__(self, env: Environment, name: str):
@@ -58,9 +59,8 @@ class ReplicaStore:
         self.records_applied = 0
         # txid -> list of versions whose predecessor we ended (for abort undo)
         self._txn_versions: dict[int, list[tuple]] = {}
-        # Unresolved transactions: PENDING_COMMIT/PREPARE seen, outcome not.
-        # The value is the event a blocked reader waits on, made only once
-        # one blocks.
+        # Unresolved transactions: PENDING_COMMIT/PREPARE seen, outcome not
+        # (CommitHoldback).
         self._unresolved: dict[int, Event | None] = {}
         # Readers waiting for the applied frontier to reach a timestamp
         # (safe-time waits): list of (threshold_ts, event).
@@ -209,11 +209,6 @@ class ReplicaStore:
                         still_waiting.append((threshold, event))
                 self._frontier_waiters = still_waiting
 
-    def _resolve(self, txid: int) -> None:
-        event = self._unresolved.pop(txid, None)
-        if event is not None:
-            event.succeed(txid)
-
     _APPLY: typing.ClassVar[dict] = {}
 
     # ------------------------------------------------------------------
@@ -227,21 +222,6 @@ class ReplicaStore:
 
     def has_table(self, name: str) -> bool:
         return name in self._tables
-
-    def blocking_txid(self, table: str, key: tuple) -> int | None:
-        """If ``key``'s visibility could hinge on an unresolved transaction,
-        return that transaction's id."""
-        if not self._unresolved:
-            return None
-        committed = self.clog._commit_ts
-        for version in self.table(table).versions(key):
-            if version.xmin in self._unresolved:
-                return version.xmin
-            if version.xmax is not None and version.xmax in self._unresolved:
-                return version.xmax
-            if version.xmin in committed:
-                break  # chain invariant: all below is committed and ended
-        return None
 
     def read(self, table: str, key: tuple, snapshot: Snapshot) -> dict | None:
         """Non-blocking visible read (caller must have cleared holdbacks)."""
@@ -261,17 +241,6 @@ class ReplicaStore:
             self._frontier_waiters.append((read_ts, event))
             yield event
         return self.max_commit_ts
-
-    def read_waiting(self, table: str, key: tuple, snapshot: Snapshot):
-        """Generator: read ``key``, waiting out unresolved transactions."""
-        while True:
-            txid = self.blocking_txid(table, key)
-            if txid is None:
-                return self.table(table).read(key, snapshot, self.clog)
-            event = self._unresolved[txid]
-            if event is None:
-                event = self._unresolved[txid] = Event(self.env)
-            yield event
 
     def scan(self, table: str, snapshot: Snapshot,
              predicate: typing.Callable[[dict], bool] | None = None) -> list[dict]:

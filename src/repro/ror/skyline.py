@@ -96,7 +96,9 @@ def near_pool(candidates: typing.Iterable[NodeMetrics],
     """The equivalence class :func:`choose_node` draws from: qualifying
     nodes within ``latency_slack_ns`` of the skyline's fastest qualifier
     (a dominated-but-near node is still a useful target — domination says
-    "never strictly better", not "useless"). Split out so routers can
+    "never strictly better", not "useless"). The fastest qualifier with
+    the least staleness is never dominated, so the skyline's fastest
+    latency is the least latency of any qualifier. Split out so routers can
     cache the pool between metric refreshes; its order is a pure function
     of the candidate order, which keeps a cached pool's ``rng.choice``
     draws identical to recomputing."""
@@ -112,7 +114,6 @@ def near_pool(candidates: typing.Iterable[NodeMetrics],
         qualifying.append(metrics)
     if not qualifying:
         return []
-    frontier = skyline(qualifying)
-    fastest = frontier[0].latency_ns
+    fastest = min(metrics.latency_ns for metrics in qualifying)
     return [metrics for metrics in qualifying
             if metrics.latency_ns <= fastest + latency_slack_ns]

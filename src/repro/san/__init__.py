@@ -72,7 +72,6 @@ class Sanitizer:
 
     def install(self) -> "Sanitizer":
         self.env.san = self
-        self.env.rebind_hooks()
         return self
 
     # ------------------------------------------------------------------

@@ -62,11 +62,8 @@ Other hot-path notes:
   fresh and left to reference counting, so no handle can come to name
   somebody else's work.
 - The ``run`` loops inline the dispatch (no per-event ``step()`` call).
-- ``metrics_on`` / ``trace_on`` cache the observability toggles;
-  ``hooks_net`` / ``hooks_txn`` fold them (plus ``san``/``history``) into
-  single pre-resolved guards re-bound by :meth:`Environment.rebind_hooks`
-  whenever an observer is installed, so disabled instrumentation costs one
-  attribute test per site instead of one per subsystem.
+- ``metrics_on`` / ``trace_on`` / ``series_on`` cache the observability
+  toggles, so a disabled hook site costs one attribute test.
 """
 
 from __future__ import annotations
@@ -281,27 +278,6 @@ class Environment:
         #: unless installed (``REPRO_HISTORY=1`` or programmatically);
         #: same contract as ``san``: passive, never schedules events.
         self.history = None
-        #: Pre-resolved hook guards (see :meth:`rebind_hooks`): one test
-        #: on the hot path replaces a per-subsystem check cascade.
-        self.hooks_net = False
-        self.hooks_txn = False
-
-    def rebind_hooks(self) -> None:
-        """Re-fold the per-subsystem observer toggles into the single
-        pre-resolved hot-path guards.
-
-        Every installer (``repro.obs.enable_observability``,
-        ``repro.san.Sanitizer.install``, ``repro.check`` history capture)
-        must call this after flipping its toggle. A disabled hook site then
-        costs one attribute test instead of one per subsystem — and a
-        *bound no-op callable* would cost more than either (a Python call
-        is pricier than an int test), which is why the "pre-resolved
-        no-op" is a folded flag rather than a null method.
-        """
-        self.hooks_net = (self.metrics_on or self.trace_on
-                          or self.san is not None)
-        self.hooks_txn = (self.metrics_on or self.series_on
-                          or self.history is not None)
 
     @property
     def events_scheduled(self) -> int:

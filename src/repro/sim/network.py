@@ -276,19 +276,17 @@ class Network:
             link.messages_sent += 1
             deliver_at = start_tx + tx + link.one_way_ns(jitter)
         deliver_at += extra_delay_ns
-        san = None
-        if env.hooks_net:
-            if env.metrics_on:
-                metrics = env.metrics
-                metrics.counter("net.messages", src=src, dst=dst).inc()
-                metrics.counter("net.bytes", src=src, dst=dst).inc(size_bytes)
-                metrics.histogram("net.delivery_ns").record(deliver_at - now)
-            if env.trace_on and src != dst:
-                # The delivery time is fully determined at send time, so the
-                # whole in-flight interval can be recorded as one span.
-                env.tracer.complete("net", _payload_kind(payload), now, deliver_at,
-                                    track=f"net:{src}->{dst}", size=size_bytes)
-            san = env.san
+        if env.metrics_on:
+            metrics = env.metrics
+            metrics.counter("net.messages", src=src, dst=dst).inc()
+            metrics.counter("net.bytes", src=src, dst=dst).inc(size_bytes)
+            metrics.histogram("net.delivery_ns").record(deliver_at - now)
+        if env.trace_on and src != dst:
+            # The delivery time is fully determined at send time, so the
+            # whole in-flight interval can be recorded as one span.
+            env.tracer.complete("net", _payload_kind(payload), now, deliver_at,
+                                track=f"net:{src}->{dst}", size=size_bytes)
+        san = env.san
         message = Message(src, dst, payload, size_bytes, now, deliver_at)
         if san is not None:
             # Fingerprint the payload as it leaves the sender; _deliver

@@ -38,10 +38,6 @@ from repro.sql.ast_nodes import (
 )
 from repro.storage.catalog import ColumnDef, DistributionSpec, TableSchema
 
-# Sentinel: a planned point SELECT whose bound columns turned out not to
-# cover the live primary key (DDL changed it) — fall back to the scan path.
-_NOT_A_POINT = object()
-
 #: Comparison operators by SQL spelling. ``evaluate`` calls only the one a
 #: predicate names, so ``=`` / ``<>`` between unorderable types (a string
 #: column against an integer) are plain false / true, not a ``TypeError``.
@@ -146,68 +142,6 @@ def equality_bindings(where, params) -> dict[str, typing.Any]:
     return bindings
 
 
-class _PointPlan:
-    """Cached plan for a point SELECT: ``SELECT cols FROM t WHERE pk = ?``.
-
-    ``eq`` holds every equality conjunct as ``(column, is_param, value)``
-    (value is the param index when ``is_param``). ``star`` selects the
-    whole-row projection; otherwise ``columns`` is ``(out_name, col_name)``
-    pairs. Eligibility is structural only — whether the bound columns cover
-    the primary key is re-checked against the live schema per execution, so
-    a cached plan survives DDL."""
-
-    __slots__ = ("eq", "star", "columns")
-
-    def __init__(self, eq, star, columns):
-        self.eq = eq
-        self.star = star
-        self.columns = columns
-
-
-def _plan_point_select(statement: Select) -> _PointPlan | None:
-    """Build a point plan, or None if the statement needs the general path:
-    the WHERE must be a pure AND-tree of ``col = literal/param`` conjuncts
-    (no duplicate columns) and the projection plain columns or ``*``."""
-    if (statement.where is None or statement.order_by is not None
-            or statement.limit is not None):
-        return None
-    star = False
-    columns = []
-    for item in statement.items:
-        if item.expr == "*":
-            star = True
-        elif isinstance(item.expr, ColumnRef):
-            columns.append((item.alias or item.expr.name, item.expr.name))
-        else:
-            return None
-    eq: list[tuple] = []
-    seen: set[str] = set()
-    stack = [statement.where]
-    while stack:
-        expr = stack.pop()
-        if not isinstance(expr, BinaryOp):
-            return None
-        if expr.op == "AND":
-            stack.append(expr.left)
-            stack.append(expr.right)
-            continue
-        if expr.op != "=":
-            return None
-        left, right = expr.left, expr.right
-        if isinstance(right, ColumnRef) and not isinstance(left, ColumnRef):
-            left, right = right, left
-        if not isinstance(left, ColumnRef) or left.name in seen:
-            return None
-        if isinstance(right, Param):
-            eq.append((left.name, True, right.index))
-        elif isinstance(right, Literal):
-            eq.append((left.name, False, right.value))
-        else:
-            return None
-        seen.add(left.name)
-    return _PointPlan(tuple(eq), star, tuple(columns))
-
-
 class SqlExecutor:
     """Plans and runs statements on one CN. Stateless; the caller supplies
     the transaction context for in-transaction execution."""
@@ -226,18 +160,6 @@ class SqlExecutor:
         is the caller's read-your-writes floor for autocommit SELECTs.
         """
         if isinstance(statement, Select):
-            # Prepared-statement fast path: plan once per AST instance,
-            # cached on the (frozen, slot-less) node via object.__setattr__.
-            plan = getattr(statement, "_point_plan", False)
-            if plan is False:
-                plan = _plan_point_select(statement)
-                object.__setattr__(statement, "_point_plan", plan)
-            if plan is not None:
-                result = yield from self._select_point(statement, plan,
-                                                       params, ctx,
-                                                       min_read_ts)
-                if result is not _NOT_A_POINT:
-                    return result
             return (yield from self._select(statement, params, ctx,
                                             min_read_ts))
         if isinstance(statement, Insert):
@@ -265,42 +187,6 @@ class SqlExecutor:
         if all(column in bindings for column in schema.primary_key):
             return tuple(bindings[column] for column in schema.primary_key)
         return None
-
-    def _select_point(self, statement: Select, plan: _PointPlan, params,
-                      ctx, min_read_ts: int):
-        """Run a planned point SELECT: resolve the bound values, single
-        point read, re-check every equality against the returned row (NULL
-        never matches, and an update may have rewritten a bound column),
-        then the precomputed projection. Returns ``_NOT_A_POINT`` when the
-        live primary key is not covered by the plan's bound columns."""
-        values = {}
-        for column, is_param, value in plan.eq:
-            if is_param:
-                try:
-                    value = params[value]
-                except IndexError:
-                    raise SqlError(f"missing parameter {value}") from None
-            values[column] = value
-        schema = self.cn.shard_map.schema(statement.table)
-        key = []
-        for column in schema.primary_key:
-            if column not in values:
-                return _NOT_A_POINT
-            key.append(values[column])
-        if ctx is not None:
-            row = yield from self.cn.g_read(ctx, statement.table, tuple(key))
-        else:
-            row = yield from self.cn.g_read_only(statement.table, tuple(key),
-                                                 min_read_ts=min_read_ts)
-        if row is None:
-            return []
-        for column, value in values.items():
-            if value is None or row.get(column) != value:
-                return []
-        if plan.star:
-            return [dict(row)]
-        get = row.get
-        return [{out: get(name) for out, name in plan.columns}]
 
     def _select(self, statement: Select, params, ctx, min_read_ts: int = 0):
         table = statement.table

@@ -48,7 +48,55 @@ from repro.storage.vacuum import vacuum_tables
 from repro.storage.wal import WalBuffer
 
 
-class StorageEngine:
+class CommitHoldback:
+    """Read holdback on transactions in their commit window, shared by a
+    primary's :class:`StorageEngine` and a replica's ``ReplicaStore``.
+
+    A transaction is *unresolved* from its ``PENDING_COMMIT`` or
+    ``PREPARE`` until its outcome. Its tuples are effectively locked: a
+    reader whose visibility check touches one waits for the outcome. The
+    store supplies ``env``, ``clog``, ``table()``, ``read()`` and
+    ``_unresolved`` (txid -> the event a blocked reader waits on, made only
+    once one blocks).
+    """
+
+    _unresolved: dict[int, Event | None]
+
+    def _resolve(self, txid: int) -> None:
+        event = self._unresolved.pop(txid, None)
+        if event is not None:
+            event.succeed(txid)
+
+    def blocking_txid(self, table: str, key: tuple,
+                      reader_txid: int | None = None) -> int | None:
+        """If ``key``'s visibility could hinge on an unresolved transaction
+        other than the reader's own, return that transaction's id."""
+        if not self._unresolved:
+            return None
+        committed = self.clog._commit_ts
+        for version in self.table(table).versions(key):
+            if version.xmin in self._unresolved and version.xmin != reader_txid:
+                return version.xmin
+            if (version.xmax is not None and version.xmax in self._unresolved
+                    and version.xmax != reader_txid):
+                return version.xmax
+            if version.xmin in committed:
+                break  # chain invariant: all below is committed and ended
+        return None
+
+    def read_waiting(self, table: str, key: tuple, snapshot: Snapshot):
+        """Generator: read ``key``, waiting out unresolved transactions."""
+        while True:
+            txid = self.blocking_txid(table, key, snapshot.txid)
+            if txid is None:
+                return self.read(table, key, snapshot)
+            event = self._unresolved[txid]
+            if event is None:
+                event = self._unresolved[txid] = Event(self.env)
+            yield event
+
+
+class StorageEngine(CommitHoldback):
     """Storage for one shard's primary."""
 
     def __init__(self, env: Environment, name: str):
@@ -66,8 +114,7 @@ class StorageEngine:
         # commit timestamp of such a transaction can land *below* an
         # existing snapshot (within the clock error window), so readers
         # touching its tuples block until it resolves — the primary-side
-        # mirror of the replica's PENDING_COMMIT holdback. The value is the
-        # event a blocked reader waits on, made only once one blocks.
+        # mirror of the replica's PENDING_COMMIT holdback (CommitHoldback).
         self._unresolved: dict[int, Event | None] = {}
         self.last_commit_ts = 0
 
@@ -196,42 +243,6 @@ class StorageEngine:
     def _note_commit_ts(self, commit_ts: int) -> None:
         if commit_ts > self.last_commit_ts:
             self.last_commit_ts = commit_ts
-
-    def _resolve(self, txid: int) -> None:
-        event = self._unresolved.pop(txid, None)
-        if event is not None:
-            event.succeed(txid)
-
-    # ------------------------------------------------------------------
-    # Commit-window holdback for readers
-    # ------------------------------------------------------------------
-    def blocking_txid(self, table: str, key: tuple,
-                      reader_txid: int | None = None) -> int | None:
-        """If ``key``'s visibility could hinge on a transaction in its
-        commit window, return that transaction's id."""
-        if not self._unresolved:
-            return None
-        committed = self.clog._commit_ts
-        for version in self.table(table).versions(key):
-            if version.xmin in self._unresolved and version.xmin != reader_txid:
-                return version.xmin
-            if (version.xmax is not None and version.xmax in self._unresolved
-                    and version.xmax != reader_txid):
-                return version.xmax
-            if version.xmin in committed:
-                break  # chain invariant: all below is committed and ended
-        return None
-
-    def read_waiting(self, table: str, key: tuple, snapshot: Snapshot):
-        """Generator: read ``key``, waiting out commit-window transactions."""
-        while True:
-            txid = self.blocking_txid(table, key, snapshot.txid)
-            if txid is None:
-                return self.read(table, key, snapshot)
-            event = self._unresolved[txid]
-            if event is None:
-                event = self._unresolved[txid] = Event(self.env)
-            yield event
 
     # ------------------------------------------------------------------
     # DML

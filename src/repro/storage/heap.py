@@ -109,40 +109,24 @@ def _snapshot_suffix(versions, read_ts: int, committed: dict):
                itertools.chain(range(head), range(lo, end)))
 
 
-def _first_visible(versions, read_ts: int, own, committed: dict,
-                   memo: dict) -> RowVersion | None:
-    """First visible version in a newest-first chain, with memoized
-    commit-before-``read_ts`` decisions.
-
-    This is :func:`version_visible` unrolled against the commit log's
-    ``txid -> commit_ts`` table, caching each transaction's verdict in
-    ``memo``. The memo is only sound while the commit log cannot change —
-    i.e. within a single simulation event. Every caller (scans, index
-    lookups) materializes its result eagerly inside one data-node handler
-    invocation, which is what makes per-snapshot caching safe here: a
-    transaction committing *between* events would otherwise flip a cached
-    False.
-    """
+def _first_visible(versions, read_ts: int, own,
+                   committed: dict) -> RowVersion | None:
+    """First visible version in a newest-first chain: :func:`version_visible`
+    unrolled against the commit log's ``txid -> commit_ts`` table."""
     if len(versions) > _WALK_MAX:
         versions = _snapshot_suffix(versions, read_ts, committed)
     for version in versions:
         xmin = version.xmin
         if xmin != own:
-            visible = memo.get(xmin)
-            if visible is None:
-                ts = committed.get(xmin)
-                memo[xmin] = visible = ts is not None and ts <= read_ts
-            if not visible:
+            ts = committed.get(xmin)
+            if ts is None or ts > read_ts:
                 continue
         xmax = version.xmax
         if xmax is not None:
             if xmax == own:
                 continue
-            ended = memo.get(xmax)
-            if ended is None:
-                ts = committed.get(xmax)
-                memo[xmax] = ended = ts is not None and ts <= read_ts
-            if ended:
+            ts = committed.get(xmax)
+            if ts is not None and ts <= read_ts:
                 continue
         return version
     return None
@@ -238,7 +222,7 @@ class HeapTable:
         if versions is None:
             return None
         version = _first_visible(versions, snapshot.read_ts, snapshot.txid,
-                                 clog._commit_ts, {})
+                                 clog._commit_ts)
         return None if version is None else version.data
 
     def visible_version(self, key: tuple, snapshot: Snapshot,
@@ -247,24 +231,17 @@ class HeapTable:
         if versions is None:
             return None
         return _first_visible(versions, snapshot.read_ts, snapshot.txid,
-                              clog._commit_ts, {})
+                              clog._commit_ts)
 
     def scan(self, snapshot: Snapshot, clog: CommitLog,
              predicate: typing.Callable[[dict], bool] | None = None
              ) -> typing.Iterator[dict]:
-        """Yield every visible row (optionally filtered).
-
-        Visibility verdicts are cached per transaction id for the duration
-        of the scan (see :func:`_first_visible`), so a TPC-C stock scan
-        decides each bulk-load/committing transaction once instead of once
-        per version. Callers must consume the iterator within the event
-        that created it — data-node handlers materialize it eagerly."""
+        """Yield every visible row (optionally filtered)."""
         read_ts = snapshot.read_ts
         own = snapshot.txid
         committed = clog._commit_ts
-        memo: dict[int, bool] = {}
         for versions in self._rows.values():
-            version = _first_visible(versions, read_ts, own, committed, memo)
+            version = _first_visible(versions, read_ts, own, committed)
             if version is not None:
                 if predicate is None or predicate(version.data):
                     yield version.data
@@ -279,13 +256,12 @@ class HeapTable:
         read_ts = snapshot.read_ts
         own = snapshot.txid
         committed = clog._commit_ts
-        memo: dict[int, bool] = {}
         # Sorted, not set order: bucket iteration order decides result-row
         # order (e.g. TPC-C pay-by-lastname picks the middle row), and set
         # order follows PYTHONHASHSEED — same bug class as locks.py PR 1.
         for key in sorted(index.get(value, ()), key=repr):
             version = _first_visible(self._rows.get(key, ()), read_ts, own,
-                                     committed, memo)
+                                     committed)
             if version is not None and version.data.get(column) == value:
                 rows.append(version.data)
         return rows

@@ -67,13 +67,12 @@ class GTMServer:
             return
         kind = request.body[0]
         env = self.env
-        if env.hooks_txn:
-            if env.metrics_on:
-                env.metrics.counter("gtm.requests", kind=kind).inc()
-            if env.series_on:
-                series = env.series
-                series.counter("gtm.requests", 1, kind=kind)
-                series.gauge("gtm.counter", self.counter, node=self.name)
+        if env.metrics_on:
+            env.metrics.counter("gtm.requests", kind=kind).inc()
+        if env.series_on:
+            series = env.series
+            series.counter("gtm.requests", 1, kind=kind)
+            series.gauge("gtm.counter", self.counter, node=self.name)
         # Group commit: the first request opens a service window one
         # ``service_time_ns`` wide; everything arriving before it closes is
         # served in arrival order when it does. The batch costs a single

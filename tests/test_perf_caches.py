@@ -2,9 +2,9 @@
 
 Two families of checks:
 
-- the memoized MVCC visibility path (``heap._first_visible``, used by
-  ``HeapTable.scan`` / ``lookup_index``) agrees with the uncached
-  reference rule ``version_visible`` on randomized version chains and
+- the unrolled MVCC visibility walk (``heap._first_visible``, used by
+  every ``HeapTable`` read) agrees with the reference rule
+  ``version_visible`` on randomized version chains and
   commit logs, and on chains of 17-600 versions grown by a real engine
   and replayed on a replica, where it bisects — or of none, once a
   replica has vacuumed a deleted key away (hypothesis property);
@@ -12,8 +12,8 @@ Two families of checks:
   of the lint smoke scenario — the determinism proof the perf work is
   gated on.
 
-Plus targeted coverage for the satellite changes: the SQL point-select
-fast path and the strict ``Scale.from_env``.
+Plus targeted coverage for prepared point SELECTs and the strict
+``Scale.from_env``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.storage.heap import (
 from repro.storage.snapshot import Snapshot
 
 # ----------------------------------------------------------------------
-# Property: memoized visibility == reference visibility
+# Property: unrolled visibility == reference visibility
 # ----------------------------------------------------------------------
 TXIDS = list(range(1, 9))
 
@@ -224,12 +224,7 @@ def test_first_visible_matches_reference(case):
         if version_visible(version, snapshot, clog):
             expected = version
             break
-    memo: dict[int, bool] = {}
-    got = _first_visible(chain, read_ts, own, clog._commit_ts, memo)
-    assert got is expected
-    # The memo must also be reusable across chains within one call site:
-    # a second pass with the warm memo gives the same answer.
-    assert _first_visible(chain, read_ts, own, clog._commit_ts, memo) is expected
+    assert _first_visible(chain, read_ts, own, clog._commit_ts) is expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -237,7 +232,7 @@ def test_first_visible_matches_reference(case):
 def test_scan_matches_per_version_reference(case):
     clog, chain, read_ts, own = case
     heap = HeapTable("t")
-    # Spread the chain across several keys to exercise the shared memo.
+    # Spread the chain across several keys.
     for index, version in enumerate(chain):
         fresh = RowVersion(key=(index % 3,), data=dict(version.data),
                            xmin=version.xmin, xmax=version.xmax)
@@ -294,32 +289,8 @@ def test_smoke_digest_matches_pre_optimization_recording():
 
 
 # ----------------------------------------------------------------------
-# SQL point-select fast path
+# Prepared point SELECTs
 # ----------------------------------------------------------------------
-def test_point_plan_eligibility():
-    from repro.sql import parse
-    from repro.sql.executor import _plan_point_select
-
-    plan = _plan_point_select(parse("SELECT id, val FROM t WHERE id = ?"))
-    assert plan is not None and plan.eq == (("id", True, 0),)
-    assert plan.columns == (("id", "id"), ("val", "val"))
-
-    star = _plan_point_select(parse("SELECT * FROM t WHERE id = 5 AND val = ?"))
-    assert star is not None and star.star
-    assert set(star.eq) == {("id", False, 5), ("val", True, 0)}
-
-    for sql in [
-        "SELECT * FROM t",                               # no WHERE
-        "SELECT * FROM t WHERE id = ? OR val = 1",        # OR
-        "SELECT * FROM t WHERE id > 1",                   # non-equality
-        "SELECT * FROM t WHERE id = 1 AND id = 2",        # duplicate column
-        "SELECT * FROM t WHERE id = ? ORDER BY val",      # order by
-        "SELECT * FROM t WHERE id = ? LIMIT 1",           # limit
-        "SELECT COUNT(*) FROM t WHERE id = ?",            # aggregate
-    ]:
-        assert _plan_point_select(parse(sql)) is None, sql
-
-
 def _tiny_db():
     from repro import ClusterConfig, build_cluster, one_region
 
@@ -340,14 +311,10 @@ def test_point_select_fast_path_matches_generic():
     prepared = "SELECT id, val FROM pts WHERE id = ?"
     for key in (0, 3, 7, 99):
         fast = session.execute(prepared, (key,))
-        # `1 = 1` (no column on either side) is ineligible for the point
-        # plan, so this goes through the generic scan path.
+        # A conjunct with no column on either side is evaluated per row.
         generic = session.execute(
             f"SELECT id, val FROM pts WHERE id = {key} AND 1 = 1")
         assert fast == generic
-    # The plan was cached on the (session-cached) AST node.
-    statement = session._statement_cache[prepared]
-    assert getattr(statement, "_point_plan", None) is not None
     # Extra non-key equality conjuncts are re-checked against the row.
     hit = session.execute(
         "SELECT * FROM pts WHERE id = ? AND val = ?", (2, 6))

@@ -17,7 +17,7 @@ from repro.clocks import (
     GlobalTimeDevice,
     PhysicalClock,
 )
-from repro.ror.skyline import NodeMetrics, choose_node, skyline
+from repro.ror.skyline import NodeMetrics, choose_node, near_pool, skyline
 from repro.sim import Environment, ms, us
 from repro.sim.rand import RandomStreams
 from repro.storage import ColumnDef, Snapshot, StorageEngine, TableSchema
@@ -261,6 +261,28 @@ class TestSkylineProperties:
         chosen = choose_node(nodes)
         has_live = any(node.up for node in nodes)
         assert (chosen is not None) == has_live
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(node_strategy, max_size=12),
+           st.one_of(st.none(), st.integers(0, 10**9)),
+           st.one_of(st.none(), st.integers(0, 10**6)),
+           st.integers(0, 10**8))
+    def test_near_pool_matches_skyline_reference(self, nodes, bound, min_ts,
+                                                 slack):
+        qualifying = [
+            node for node in nodes
+            if node.up and (bound is None or node.staleness_ns <= bound)
+            and (min_ts is None or node.is_primary
+                 or node.max_commit_ts >= min_ts)]
+        expected = []
+        if qualifying:
+            fastest = skyline(qualifying)[0].latency_ns
+            expected = [node for node in qualifying
+                        if node.latency_ns <= fastest + slack]
+        got = near_pool(nodes, bound, min_ts, slack)
+        assert len(got) == len(expected)
+        assert all(a is b for a, b in zip(got, expected))
 
 
 class TestClogProperties:

@@ -1,6 +1,8 @@
 """Tests for the shard map, topologies, and placement."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ClusterConfig, build_cluster, one_region, three_city, two_region
 from repro.cluster.sharding import ShardMap, stable_hash
@@ -28,6 +30,23 @@ class TestShardMap:
         # Unlike builtin hash(), which is salted per process.
         assert stable_hash(42) == stable_hash(42)
         assert stable_hash("abc") != stable_hash("abd")
+
+    @staticmethod
+    def fresh_shard(value):
+        # A fresh map each time: a shared one would answer from the memo,
+        # which keys ``1``, ``1.0`` and ``True`` alike.
+        shard_map = ShardMap(6)
+        shard_map.register(hash_schema())
+        return shard_map.shard_for_value("t", value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-2**53, 2**53))
+    def test_integral_float_shares_the_int_shard(self, value):
+        assert self.fresh_shard(float(value)) == self.fresh_shard(value)
+
+    def test_bool_shares_the_int_shard(self):
+        assert self.fresh_shard(True) == self.fresh_shard(1)
+        assert self.fresh_shard(False) == self.fresh_shard(0)
 
     def test_range_distribution(self):
         shard_map = ShardMap(3)

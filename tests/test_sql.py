@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro import ClusterConfig, build_cluster, one_region
+from repro import ClusterConfig, build_cluster, one_region, three_city
 from repro.errors import SqlError
 from repro.sql.ast_nodes import (
     Aggregate,
@@ -318,6 +318,24 @@ class TestEndToEnd:
         with pytest.raises(TransactionAborted):
             session.execute("INSERT INTO users (id, name, age, city) VALUES "
                             "(1, 'dup', 1, 'x')")
+
+    def test_integral_float_key_finds_the_int_row(self):
+        """``WHERE id = 1.0`` routes to the shard ``id = 1`` lives on, even
+        when it is the first lookup after DDL cleared the placement memo,
+        and does not let a second ``id = 1`` land on another shard."""
+        from repro.errors import TransactionAborted
+
+        db = build_cluster(ClusterConfig.globaldb(three_city(), seed=1))
+        session = db.session()
+        session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        session.execute("INSERT INTO t (id, v) VALUES (1, 10)")
+        session.execute("CREATE TABLE other (id INT PRIMARY KEY)")
+        assert session.execute("SELECT * FROM t WHERE id = 1.0") == [
+            {"id": 1, "v": 10}]
+        assert session.execute("SELECT * FROM t WHERE id = 1") == [
+            {"id": 1, "v": 10}]
+        with pytest.raises(TransactionAborted):
+            session.execute("INSERT INTO t (id, v) VALUES (1, 20)")
 
     def test_prepared_statement_cache(self, db_session):
         _db, session = db_session
