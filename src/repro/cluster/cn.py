@@ -30,6 +30,7 @@ from repro.errors import (
     CommitOutcomeUnknown,
     NetworkError,
     ReplicaUnavailableError,
+    SqlError,
     StalenessBoundError,
     TransactionAborted,
     WriteConflict,
@@ -450,7 +451,11 @@ class ComputingNode(ClusterNode):
         replicated = self.shard_map.is_replicated(table)
         schema = self.shard_map.schema(table)
         for request in requests:
-            shard_rows, _ts = request.value
+            shard_rows, detail = request.value
+            if shard_rows == "error":
+                yield from self.g_abort(ctx)
+                raise SqlError(f"scan of {table} failed: {detail!r}") \
+                    from detail
             if replicated:
                 for row in shard_rows:
                     key = schema.key_of(row)
@@ -832,7 +837,10 @@ class ComputingNode(ClusterNode):
     def _merge_rows(replies, dedupe: bool, schema: TableSchema) -> list[dict]:
         rows: list[dict] = []
         seen: set = set()
-        for shard_rows, _ts in replies:
+        for shard_rows, detail in replies:
+            if shard_rows == "error":
+                raise SqlError(f"scan of {schema.name} failed: {detail!r}") \
+                    from detail
             if dedupe:
                 for row in shard_rows:
                     key = schema.key_of(row)

@@ -409,7 +409,13 @@ class DataNode(ClusterNode):
             if read_ts is None:
                 read_ts = self.engine.last_commit_ts
             snapshot = Snapshot(read_ts, txid)
-            rows = list(self.engine.scan(table, snapshot, predicate))
+            try:
+                rows = self.engine.scan(table, snapshot, predicate)
+            except Exception as exc:
+                # A predicate that raises (``name < 5`` on a text column)
+                # fails the statement, not the node: reply with the error.
+                request.reply(("error", exc))
+                return
             yield from self._work(self.cost.point_read_ns
                                   + self.cost.scan_row_ns * len(rows))
             request.reply((rows, read_ts))
@@ -672,7 +678,11 @@ class DataNode(ClusterNode):
         def run():
             _kind, read_ts, table, predicate = request.body
             yield from self.store.wait_frontier(read_ts)
-            rows = self.store.scan(table, Snapshot(read_ts), predicate)
+            try:
+                rows = self.store.scan(table, Snapshot(read_ts), predicate)
+            except Exception as exc:
+                request.reply(("error", exc))
+                return
             yield from self._work(self.cost.point_read_ns
                                   + self.cost.scan_row_ns * len(rows))
             request.reply((rows, read_ts))

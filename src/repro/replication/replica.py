@@ -244,7 +244,7 @@ class ReplicaStore(CommitHoldback):
 
     def scan(self, table: str, snapshot: Snapshot,
              predicate: typing.Callable[[dict], bool] | None = None) -> list[dict]:
-        return list(self.table(table).scan(snapshot, self.clog, predicate))
+        return self.table(table).scan(snapshot, self.clog, predicate)
 
     def lookup_index(self, table: str, column: str, value: typing.Any,
                      snapshot: Snapshot) -> list[dict]:

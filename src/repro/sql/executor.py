@@ -11,6 +11,12 @@ The executor turns parsed statements into the CN's native operations:
 - ``col = col + expr`` style assignments are pushed to the data node as
   atomic read-modify-writes.
 
+Expressions are compiled once per statement execution by
+:func:`compile_expr` into closures over the bound parameters; a predicate
+scan ships the compiled WHERE to each shard, which calls it per row. There
+is no plan cache: nothing compiled outlives its statement. ``ORDER BY``
+sorts NULLs last ascending and first descending, as PostgreSQL does.
+
 Everything is exposed as generators (for in-simulation callers) and wired
 into :class:`repro.cluster.client.Session` for synchronous use.
 """
@@ -38,74 +44,125 @@ from repro.sql.ast_nodes import (
 )
 from repro.storage.catalog import ColumnDef, DistributionSpec, TableSchema
 
-#: Comparison operators by SQL spelling. ``evaluate`` calls only the one a
-#: predicate names, so ``=`` / ``<>`` between unorderable types (a string
-#: column against an integer) are plain false / true, not a ``TypeError``.
-_COMPARISONS = {
+#: Binary operators by SQL spelling, apart from ``AND``/``OR``. A compiled
+#: expression calls only the one it names, so ``=`` / ``<>`` between
+#: unorderable types (a string column against an integer) are plain false /
+#: true, not a ``TypeError``.
+_OPERATORS = {
     "=": operator.eq, "<>": operator.ne, "<": operator.lt,
     "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv,
 }
 
 
 # ----------------------------------------------------------------------
 # Expression evaluation
 # ----------------------------------------------------------------------
-def evaluate(expr, row: typing.Mapping, params: typing.Sequence):
-    """Evaluate an expression against a row with SQL's three-valued logic:
-    a comparison involving NULL is unknown (``None``), ``NOT``/``AND``/``OR``
-    follow Kleene's tables, and arithmetic propagates ``None``. A ``WHERE``
-    keeps a row only when its predicate is true."""
+def compile_expr(expr, params: typing.Sequence
+                 ) -> typing.Callable[[typing.Mapping], typing.Any]:
+    """Compile an expression with its parameters bound into ``row -> value``.
+
+    The tree is walked once, here; the closure it returns does no type
+    dispatch per row. Values follow SQL's three-valued logic: a comparison
+    or arithmetic involving NULL is unknown (``None``), and ``NOT``/``AND``/
+    ``OR`` follow Kleene's tables. A ``WHERE`` keeps a row only when its
+    predicate is true. A missing ``?`` raises :class:`SqlError` when a row
+    is evaluated, not here, so a scan of an empty table returns no rows; an
+    operator the parser cannot produce raises here. Compile once per
+    statement execution; nothing is cached."""
     if isinstance(expr, Literal):
-        return expr.value
+        value = expr.value
+        return lambda row: value
     if isinstance(expr, Param):
         try:
-            return params[expr.index]
+            value = params[expr.index]
         except IndexError:
-            raise SqlError(f"missing parameter {expr.index}") from None
+            index = expr.index
+
+            def missing(row):
+                raise SqlError(f"missing parameter {index}")
+            return missing
+        return lambda row: value
     if isinstance(expr, ColumnRef):
-        return row.get(expr.name)
+        name = expr.name
+        return lambda row: row.get(name)
     if isinstance(expr, UnaryOp):
-        value = evaluate(expr.operand, row, params)
+        operand = compile_expr(expr.operand, params)
         if expr.op == "NOT":
-            return None if value is None else not value
+            def negate(row):
+                value = operand(row)
+                return None if value is None else not value
+            return negate
         if expr.op == "-":
-            return None if value is None else -value
+            def minus(row):
+                value = operand(row)
+                return None if value is None else -value
+            return minus
         raise SqlError(f"unknown unary operator {expr.op}")
     if isinstance(expr, BinaryOp):
+        apply = _OPERATORS.get(expr.op)
+        if apply is not None and isinstance(expr.left, ColumnRef):
+            constant = _bound_constant(expr.right, params)
+            if constant is not None:
+                # A scan's usual WHERE, ``col = ?``: one closure per row.
+                name = expr.left.name
+
+                def column_op_constant(row):
+                    a = row.get(name)
+                    return None if a is None else apply(a, constant)
+                return column_op_constant
+        left = compile_expr(expr.left, params)
+        right = compile_expr(expr.right, params)
         if expr.op == "AND":
-            left = evaluate(expr.left, row, params)
-            if left is not None and not left:
-                return False
-            right = evaluate(expr.right, row, params)
-            if right is not None and not right:
-                return False
-            return None if left is None or right is None else True
+            def conjunction(row):
+                a = left(row)
+                if a is not None and not a:
+                    return False
+                b = right(row)
+                if b is not None and not b:
+                    return False
+                return None if a is None or b is None else True
+            return conjunction
         if expr.op == "OR":
-            left = evaluate(expr.left, row, params)
-            if left:
-                return True
-            right = evaluate(expr.right, row, params)
-            if right:
-                return True
-            return None if left is None or right is None else False
-        left = evaluate(expr.left, row, params)
-        right = evaluate(expr.right, row, params)
-        compare = _COMPARISONS.get(expr.op)
-        if compare is not None:
-            if left is None or right is None:
-                return None
-            return compare(left, right)
-        if left is None or right is None:
-            return None
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            return left / right
+            def disjunction(row):
+                a = left(row)
+                if a:
+                    return True
+                b = right(row)
+                if b:
+                    return True
+                return None if a is None or b is None else False
+            return disjunction
+        if apply is not None:
+            def binary(row):
+                a = left(row)
+                b = right(row)
+                return None if a is None or b is None else apply(a, b)
+            return binary
     raise SqlError(f"cannot evaluate expression {expr!r}")
+
+
+def _bound_constant(expr, params: typing.Sequence):
+    """The value of a literal or bound parameter; None for anything else."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Param) and expr.index < len(params):
+        return params[expr.index]
+    return None
+
+
+def evaluate(expr, row: typing.Mapping, params: typing.Sequence):
+    """One-off evaluation of an expression against a row: see
+    :func:`compile_expr`, which a per-row caller uses directly."""
+    return compile_expr(expr, params)(row)
+
+
+def _where_predicate(where, params: typing.Sequence):
+    """A statement's WHERE compiled into a row filter, or None for no WHERE
+    (a scan then keeps every visible row). A scan tests the filter's result
+    for truth, so an unknown (``None``) predicate drops the row."""
+    return None if where is None else compile_expr(where, params)
 
 
 def columns_in(expr) -> set[str]:
@@ -193,18 +250,15 @@ class SqlExecutor:
         bindings = equality_bindings(statement.where, params) \
             if statement.where is not None else {}
         key = self._pk_key(table, bindings)
-        where = statement.where
-
-        def predicate(row):
-            return where is None or bool(evaluate(where, row, params))
-
+        predicate = _where_predicate(statement.where, params)
         if key is not None:
             if ctx is not None:
                 row = yield from self.cn.g_read(ctx, table, key)
             else:
                 row = yield from self.cn.g_read_only(table, key,
                                                      min_read_ts=min_read_ts)
-            rows = [row] if row is not None and predicate(row) else []
+            rows = [row] if row is not None and (
+                predicate is None or predicate(row)) else []
         else:
             if ctx is not None:
                 rows = yield from self.cn.g_scan(ctx, table, predicate)
@@ -227,20 +281,27 @@ class SqlExecutor:
                 result[name] = self._aggregate(aggregate, rows, params)
             return [result]
         if statement.order_by is not None:
-            rows = sorted(rows, key=lambda row: row.get(statement.order_by),
+            # NULLs sort last ascending and first descending, as in
+            # PostgreSQL; the flag keeps None out of the value comparison.
+            column = statement.order_by
+            rows = sorted(rows, key=lambda row: (row.get(column) is None,
+                                                 row.get(column)),
                           reverse=statement.descending)
         if statement.limit is not None:
             rows = rows[:statement.limit]
         if any(item.expr == "*" for item in statement.items):
             return [dict(row) for row in rows]
+        values = [None if isinstance(item.expr, ColumnRef)
+                  else compile_expr(item.expr, params)
+                  for item in statement.items]
         projected = []
         for row in rows:
             out = {}
-            for item in statement.items:
-                if isinstance(item.expr, ColumnRef):
+            for item, value in zip(statement.items, values):
+                if value is None:
                     out[item.alias or item.expr.name] = row.get(item.expr.name)
                 else:
-                    out[item.alias or "expr"] = evaluate(item.expr, row, params)
+                    out[item.alias or "expr"] = value(row)
             projected.append(out)
         return projected
 
@@ -292,20 +353,22 @@ class SqlExecutor:
 
     def _changes_from_assignments(self, statement: Update, params):
         """Turn SET clauses into the DN changes dict; self-referencing
-        expressions become atomic read-modify-write callables."""
+        expressions become atomic read-modify-write callables. Expressions
+        over other columns come back compiled, as ``(column, row -> value)``
+        pairs the caller evaluates against each target's current row."""
         changes: dict[str, typing.Any] = {}
-        complex_columns: set[str] = set()
+        computed = []
         for column, expr in statement.assignments:
             referenced = columns_in(expr)
             if not referenced:
                 changes[column] = evaluate(expr, {}, params)
             elif referenced == {column}:
-                def rmw(old, expr=expr, column=column):
-                    return evaluate(expr, {column: old}, params)
+                def rmw(old, value=compile_expr(expr, params), column=column):
+                    return value({column: old})
                 changes[column] = rmw
             else:
-                complex_columns.add(column)
-        return changes, complex_columns
+                computed.append((column, compile_expr(expr, params)))
+        return changes, computed
 
     def _update(self, statement: Update, params, ctx):
         autocommit = ctx is None
@@ -314,28 +377,25 @@ class SqlExecutor:
         bindings = equality_bindings(statement.where, params) \
             if statement.where is not None else {}
         key = self._pk_key(statement.table, bindings)
-        where = statement.where
         schema = self.cn.shard_map.schema(statement.table)
-        changes, complex_columns = self._changes_from_assignments(statement,
-                                                                  params)
+        changes, computed = self._changes_from_assignments(statement, params)
         if key is not None:
             keys = [key]
         else:
             rows = yield from self.cn.g_scan(
                 ctx, statement.table,
-                lambda row: where is None or bool(evaluate(where, row, params)))
+                _where_predicate(statement.where, params))
             keys = [schema.key_of(row) for row in rows]
         count = 0
         for target in keys:
-            if complex_columns:
+            if computed:
                 current = yield from self.cn.g_read_for_update(
                     ctx, statement.table, target)
                 if current is None:
                     continue
                 full = dict(changes)
-                for column, expr in statement.assignments:
-                    if column in complex_columns:
-                        full[column] = evaluate(expr, current, params)
+                for column, value in computed:
+                    full[column] = value(current)
                 result = yield from self.cn.g_update(ctx, statement.table,
                                                      target, full)
             else:
@@ -356,14 +416,13 @@ class SqlExecutor:
         bindings = equality_bindings(statement.where, params) \
             if statement.where is not None else {}
         key = self._pk_key(statement.table, bindings)
-        where = statement.where
         schema = self.cn.shard_map.schema(statement.table)
         if key is not None:
             keys = [key]
         else:
             rows = yield from self.cn.g_scan(
                 ctx, statement.table,
-                lambda row: where is None or bool(evaluate(where, row, params)))
+                _where_predicate(statement.where, params))
             keys = [schema.key_of(row) for row in rows]
         count = 0
         for target in keys:

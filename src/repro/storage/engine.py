@@ -370,7 +370,9 @@ class StorageEngine(CommitHoldback):
 
     def scan(self, table: str, snapshot: Snapshot,
              predicate: typing.Callable[[dict], bool] | None = None
-             ) -> typing.Iterator[dict]:
+             ) -> list[dict]:
+        """Every visible row of ``table`` that ``predicate`` keeps: see
+        :meth:`HeapTable.scan`."""
         return self.table(table).scan(snapshot, self.clog, predicate)
 
     def lookup_index(self, table: str, column: str, value: typing.Any,

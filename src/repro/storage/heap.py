@@ -235,16 +235,22 @@ class HeapTable:
 
     def scan(self, snapshot: Snapshot, clog: CommitLog,
              predicate: typing.Callable[[dict], bool] | None = None
-             ) -> typing.Iterator[dict]:
-        """Yield every visible row (optionally filtered)."""
+             ) -> list[dict]:
+        """Every visible row whose ``predicate`` result is true (every
+        visible row without one)."""
         read_ts = snapshot.read_ts
         own = snapshot.txid
         committed = clog._commit_ts
+        first_visible = _first_visible
+        rows: list[dict] = []
+        append = rows.append
         for versions in self._rows.values():
-            version = _first_visible(versions, read_ts, own, committed)
+            version = first_visible(versions, read_ts, own, committed)
             if version is not None:
-                if predicate is None or predicate(version.data):
-                    yield version.data
+                data = version.data
+                if predicate is None or predicate(data):
+                    append(data)
+        return rows
 
     def lookup_index(self, column: str, value: typing.Any, snapshot: Snapshot,
                      clog: CommitLog) -> list[dict]:

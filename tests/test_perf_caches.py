@@ -228,8 +228,8 @@ def test_first_visible_matches_reference(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(clog_and_chain())
-def test_scan_matches_per_version_reference(case):
+@given(clog_and_chain(), st.integers(min_value=1, max_value=3))
+def test_scan_matches_per_version_reference(case, modulus):
     clog, chain, read_ts, own = case
     heap = HeapTable("t")
     # Spread the chain across several keys.
@@ -244,7 +244,17 @@ def test_scan_matches_per_version_reference(case):
             if version_visible(version, snapshot, clog):
                 expected.append(version.data)
                 break
-    assert list(heap.scan(snapshot, clog)) == expected
+    rows = heap.scan(snapshot, clog)
+    assert type(rows) is list
+    assert rows == expected
+    # A predicate keeps exactly the visible rows it is true for; its result
+    # is tested for truth, as a compiled WHERE's None (unknown) is.
+    first = (_first_visible(heap.versions(key), read_ts, own,
+                            clog._commit_ts) for key in heap.keys())
+    kept = [version.data for version in first if version is not None
+            and version.data["v"] % modulus == 0]
+    assert heap.scan(snapshot, clog,
+                     lambda row: row["v"] % modulus == 0 or None) == kept
 
 
 def test_commit_ts_table_tracks_outcomes():

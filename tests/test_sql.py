@@ -1,21 +1,32 @@
 """Tests for the SQL front-end: lexer, parser, and end-to-end execution."""
 
 import itertools
+import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ClusterConfig, build_cluster, one_region, three_city
 from repro.errors import SqlError
 from repro.sql.ast_nodes import (
     Aggregate,
     BinaryOp,
+    ColumnRef,
     CreateTable,
     Insert,
+    Literal,
     Param,
     Select,
+    UnaryOp,
     Update,
 )
-from repro.sql.executor import columns_in, equality_bindings, evaluate
+from repro.sql.executor import (
+    columns_in,
+    compile_expr,
+    equality_bindings,
+    evaluate,
+)
 from repro.sql.lexer import tokenize
 from repro.sql.parser import parse
 
@@ -190,6 +201,115 @@ class TestExpressionEvaluation:
         assert equality_bindings(expr, ()) == {}
 
 
+def reference_evaluate(expr, row, params):
+    """The recursive tree walker the executor used before expressions were
+    compiled: the specification :func:`compile_expr` must match."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Param):
+        try:
+            return params[expr.index]
+        except IndexError:
+            raise SqlError(f"missing parameter {expr.index}") from None
+    if isinstance(expr, ColumnRef):
+        return row.get(expr.name)
+    if isinstance(expr, UnaryOp):
+        value = reference_evaluate(expr.operand, row, params)
+        if expr.op == "NOT":
+            return None if value is None else not value
+        if expr.op == "-":
+            return None if value is None else -value
+        raise SqlError(f"unknown unary operator {expr.op}")
+    if isinstance(expr, BinaryOp):
+        if expr.op == "AND":
+            left = reference_evaluate(expr.left, row, params)
+            if left is not None and not left:
+                return False
+            right = reference_evaluate(expr.right, row, params)
+            if right is not None and not right:
+                return False
+            return None if left is None or right is None else True
+        if expr.op == "OR":
+            left = reference_evaluate(expr.left, row, params)
+            if left:
+                return True
+            right = reference_evaluate(expr.right, row, params)
+            if right:
+                return True
+            return None if left is None or right is None else False
+        left = reference_evaluate(expr.left, row, params)
+        right = reference_evaluate(expr.right, row, params)
+        compare = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+                   "<=": operator.le, ">": operator.gt,
+                   ">=": operator.ge}.get(expr.op)
+        if compare is not None:
+            if left is None or right is None:
+                return None
+            return compare(left, right)
+        if left is None or right is None:
+            return None
+        if expr.op == "+":
+            return left + right
+        if expr.op == "-":
+            return left - right
+        if expr.op == "*":
+            return left * right
+        if expr.op == "/":
+            return left / right
+    raise SqlError(f"cannot evaluate expression {expr!r}")
+
+
+_VALUES = st.one_of(st.none(), st.integers(min_value=-3, max_value=3),
+                    st.sampled_from(["", "a", "bc"]))
+_COLUMNS = ("a", "b", "c")
+_BINARY_OPS = ["=", "<>", "<", "<=", ">", ">=", "+", "-", "*", "/"]
+_CONSTANTS = st.one_of(st.builds(Literal, _VALUES),
+                       st.builds(Param, st.integers(min_value=0, max_value=3)))
+_COLUMN_REFS = st.builds(ColumnRef, st.sampled_from(_COLUMNS + ("missing",)))
+_LEAVES = st.one_of(
+    _CONSTANTS, _COLUMN_REFS,
+    # ``col op constant``, the shape compiled into a single closure.
+    st.builds(BinaryOp, st.sampled_from(_BINARY_OPS), _COLUMN_REFS,
+              _CONSTANTS))
+
+
+def _trees(children):
+    return st.one_of(
+        st.builds(UnaryOp, st.sampled_from(["NOT", "-"]), children),
+        st.builds(BinaryOp, st.sampled_from(_BINARY_OPS + ["AND", "OR"]),
+                  children, children))
+
+
+def _outcome(fn, *args):
+    """``("ok", type, value)`` or ``("raised", exception type)``."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the comparison is over the exception type
+        return ("raised", type(exc))
+    return ("ok", type(value), value)
+
+
+class TestCompiledExpressions:
+    @settings(max_examples=1000, deadline=None)
+    @given(expr=st.recursive(_LEAVES, _trees, max_leaves=8),
+           row=st.fixed_dictionaries({column: _VALUES
+                                      for column in _COLUMNS}),
+           params=st.lists(_VALUES, max_size=3))
+    def test_compiled_matches_the_tree_walker(self, expr, row, params):
+        """Same value of the same type, or the same exception type, as the
+        recursive walker, over NULLs, mixed types, missing parameters,
+        division by zero and Kleene logic."""
+        assert _outcome(lambda: compile_expr(expr, params)(row)) == \
+            _outcome(reference_evaluate, expr, row, params)
+
+    def test_missing_parameter_raises_only_per_row(self):
+        where = parse("SELECT * FROM t WHERE a > ? OR a = ?").where
+        predicate = compile_expr(where, (1,))
+        with pytest.raises(SqlError):
+            predicate({"a": 0})
+        assert predicate({"a": 2}) is True  # OR stops before the missing ?
+
+
 @pytest.fixture()
 def db_session():
     db = build_cluster(ClusterConfig.globaldb(one_region()))
@@ -337,6 +457,17 @@ class TestEndToEnd:
         with pytest.raises(TransactionAborted):
             session.execute("INSERT INTO t (id, v) VALUES (1, 20)")
 
+    def test_empty_table_scan_with_a_missing_parameter(self, db_session):
+        """A missing ``?`` fails a row's evaluation, not the statement's
+        compilation: no row, no error."""
+        _db, session = db_session
+        session.execute("CREATE TABLE empty (id INT PRIMARY KEY, v INT)")
+        assert session.execute("SELECT * FROM empty WHERE v > ?") == []
+        with pytest.raises(SqlError):
+            session.execute("SELECT * FROM users WHERE age > ?")
+        assert session.execute("SELECT COUNT(*) AS n FROM users") == [
+            {"n": 4}]
+
     def test_prepared_statement_cache(self, db_session):
         _db, session = db_session
         session.execute("SELECT name FROM users WHERE id = ?", (1,))
@@ -344,3 +475,55 @@ class TestEndToEnd:
         for i in (2, 3, 4):
             session.execute("SELECT name FROM users WHERE id = ?", (i,))
         assert len(session._statement_cache) == size_after_first
+
+
+@pytest.fixture()
+def nullable_session():
+    """The table of the two repros below: a text column, a zero and a NULL."""
+    db = build_cluster(ClusterConfig.globaldb(one_region()))
+    session = db.session()
+    session.execute("CREATE TABLE users (id INT PRIMARY KEY, name TEXT, "
+                    "age INT)")
+    session.execute("INSERT INTO users (id, name, age) VALUES "
+                    "(1, 'ann', 0), (2, 'bob', NULL), (3, 'cy', 5)")
+    return db, session
+
+
+class TestStatementErrors:
+    def test_raising_predicate_fails_only_its_statement(self,
+                                                        nullable_session):
+        """Each data node answers a predicate that raises with an error
+        reply, so no handler's exception surfaces in a later statement."""
+        _db, session = nullable_session
+        with pytest.raises(SqlError) as raised:
+            session.execute("SELECT * FROM users WHERE name < 5")
+        assert isinstance(raised.value.__cause__, TypeError)
+        with pytest.raises(SqlError) as raised:
+            session.execute("SELECT * FROM users WHERE 10 / age > 1")
+        assert isinstance(raised.value.__cause__, ZeroDivisionError)
+        assert session.execute("SELECT COUNT(*) AS n FROM users") == [
+            {"n": 3}]
+
+    def test_raising_predicate_aborts_its_transaction(self,
+                                                      nullable_session):
+        _db, session = nullable_session
+        with pytest.raises(SqlError):
+            session.execute("UPDATE users SET age = 1 WHERE name < 5")
+        session.execute("BEGIN")
+        session.execute("UPDATE users SET age = 7 WHERE id = 3")
+        with pytest.raises(SqlError):
+            session.execute("DELETE FROM users WHERE 10 / age > 1")
+        assert not session.in_txn
+        assert session.execute("SELECT age FROM users WHERE id = 3") == [
+            {"age": 5}]
+        assert session.execute("SELECT COUNT(*) AS n FROM users") == [
+            {"n": 3}]
+
+    def test_order_by_sorts_nulls_last_ascending_first_descending(
+            self, nullable_session):
+        _db, session = nullable_session
+        rows = session.execute("SELECT id FROM users ORDER BY age")
+        assert [row["id"] for row in rows] == [1, 3, 2]
+        rows = session.execute("SELECT id FROM users ORDER BY age DESC "
+                               "LIMIT 2")
+        assert [row["id"] for row in rows] == [2, 3]
