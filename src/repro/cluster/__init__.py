@@ -7,8 +7,8 @@ This package wires the substrates into a running database:
 - :mod:`repro.cluster.sharding` — hash/range/replicated distribution of
   tables over shards, and shard placement over regions.
 - :mod:`repro.cluster.dn` / :mod:`repro.cluster.cn` — data nodes (primary
-  and replica roles) and computing nodes (transaction coordination, ROR
-  routing, RCP collection).
+  and replica roles) and computing nodes (transaction coordination and
+  read-only queries; their ROR control plane is :mod:`repro.ror.control`).
 - :mod:`repro.cluster.builder` — :class:`~repro.cluster.builder.GlobalDB`,
   the top-level handle, built from a :class:`~repro.cluster.builder.ClusterConfig`.
 - :mod:`repro.cluster.client` — synchronous client sessions for examples

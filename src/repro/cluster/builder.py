@@ -26,6 +26,7 @@ from repro.obs import default_monitor_rules, enable_observability
 from repro.replication.quorum import ReplicationPolicy
 from repro.replication.shipper import (LogShipper, ShipperConfig,
                                        replica_backlog)
+from repro.ror.control import ControlPlane
 from repro.sim.core import Environment
 from repro.sim.network import Network
 from repro.sim.rand import RandomStreams
@@ -380,9 +381,6 @@ def build_cluster(config: ClusterConfig) -> GlobalDB:
                 backlog_fn=replica_backlog(primary, replica.name)))
 
     # --- Computing nodes.
-    cn_config = config.cn_config or CnConfig(ror_enabled=config.ror_enabled)
-    if cn_config.ror_enabled != config.ror_enabled:
-        cn_config = replace(cn_config, ror_enabled=config.ror_enabled)
     cns: list[ComputingNode] = []
     cn_index = 0
     for region in regions:
@@ -390,7 +388,7 @@ def build_cluster(config: ClusterConfig) -> GlobalDB:
             cn = ComputingNode(
                 env, network, f"cn-{region}-{k}", region, devices[region],
                 streams, gtm.name, mode=config.txn_mode, cn_index=cn_index,
-                shard_map=shard_map, config=cn_config)
+                shard_map=shard_map, config=config.cn_config)
             cns.append(cn)
             cn_index += 1
 
@@ -439,12 +437,13 @@ def build_cluster(config: ClusterConfig) -> GlobalDB:
     network.set_link("admin", gtm.name,
                      latency_ns=config.topology.intra_latency_ns)
 
-    # --- Background loops: the first CN of each region starts as that
-    # region's RCP collector.
-    for region in regions:
-        region_cns = [cn for cn in cns if cn.region == region]
-        for index, cn in enumerate(region_cns):
-            cn.start_background(initial_collector=(index == 0))
+    # --- ROR control plane (ROR clusters only): the first CN of each
+    # region starts as that region's RCP collector.
+    if config.ror_enabled:
+        for region in regions:
+            region_cns = [cn for cn in cns if cn.region == region]
+            for index, cn in enumerate(region_cns):
+                cn.ror = ControlPlane(cn, initial_collector=(index == 0))
 
     # --- Background vacuum on every data node.
     if config.vacuum_enabled:

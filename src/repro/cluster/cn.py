@@ -1,28 +1,17 @@
-"""Computing nodes: query coordination, transactions, and ROR routing.
+"""Computing nodes: query coordination, transactions, and read routing.
 
 The CN is stateless with respect to data (as in GaussDB): it parses and
 plans client requests, routes operations to shard primaries, coordinates
-one-phase and two-phase commits, and — when ROR is enabled — routes
-read-only queries to replicas chosen by the skyline at a snapshot pinned to
-the RCP.
-
-Background loops hosted here — the ROR control plane (§IV-A/B). Their
-only readers are ``ro_snapshot`` and ``_choose_read_node``, so a CN built
-with ``ror_enabled=False`` (the paper's baseline) starts none of them and
-its cluster carries no ``status`` / ``max_commit_ts`` / ``heartbeat``
-traffic, no heartbeat-driven GTM requests and no heartbeat redo records:
-
-- **metrics refresh** — polls every data node's status to feed the skyline;
-- **RCP collection** — when this CN holds the collector role for its
-  region, polls replica frontiers, computes the RCP, and distributes it;
-  every CN watches the collector and takes over if updates stop (§IV-A);
-- **heartbeats** — the collector CN periodically asks primaries to log
-  heartbeat records so idle replicas keep advancing.
+one-phase and two-phase commits, and runs read-only queries at a pinned
+snapshot — on replicas at the RCP when the cluster has ROR, on primaries
+otherwise. Which replica serves a read, and the loops that keep the RCP
+and the skyline metrics moving, belong to the CN's ROR control plane,
+:class:`repro.ror.control.ControlPlane`, attached as ``cn.ror`` (``None``
+without ROR).
 """
 
 from __future__ import annotations
 
-import random
 import typing
 from dataclasses import dataclass, field
 
@@ -31,24 +20,27 @@ from repro.errors import (
     NetworkError,
     ReplicaUnavailableError,
     SqlError,
-    StalenessBoundError,
     TransactionAborted,
     WriteConflict,
 )
-from repro.ror.rcp import RcpCollector, RcpState
-from repro.ror.skyline import NodeMetrics, near_pool, skyline_summary
-from repro.ror.staleness import StalenessEstimator
+from repro.ror.rcp import RcpState
 from repro.sim.events import settle
 from repro.sim.network import Message
 from repro.sim.resources import Semaphore
-from repro.sim.units import SECOND, ms, us
+from repro.sim.units import SECOND, us
 from repro.storage.catalog import Catalog, TableSchema
 from repro.txn.modes import TxnMode
 from repro.cluster.node import ClusterNode
 from repro.cluster.sharding import ShardMap
 
+if typing.TYPE_CHECKING:
+    from repro.ror.control import ControlPlane
+
 #: txid space per CN: cn_index * _TXID_STRIDE + local counter.
 _TXID_STRIDE = 1_000_000_000
+#: RPC timeout for transactional operations: a dead primary turns into a
+#: TransactionAborted instead of a hung client.
+OP_TIMEOUT_NS = 2 * SECOND
 
 
 @dataclass
@@ -68,24 +60,11 @@ class TxnContext:
 
 @dataclass
 class CnConfig:
-    """Behavioural knobs for a computing node."""
+    """Capacity of a computing node: what one statement costs it, and how
+    many statements it runs at once."""
 
-    ror_enabled: bool = True
-    metrics_interval_ns: int = ms(25)
-    rcp_poll_interval_ns: int = ms(5)
-    heartbeat_interval_ns: int = ms(5)
-    collector_timeout_ns: int = ms(100)
     statement_cost_ns: int = us(60)
     workers: int = 16
-    default_staleness_bound_ns: int | None = None  # None: any staleness
-    #: RPC timeout for transactional operations: a dead primary turns
-    #: into a TransactionAborted instead of a hung client.
-    op_timeout_ns: int = 2 * SECOND
-    #: Replicas whose last-known frontier trails the RCP by more than this
-    #: are not routed to (a known laggard would park readers in its
-    #: safe-time wait). Small lags are fine: metrics refresh less often
-    #: than the RCP moves, and the replica-side wait covers the race.
-    replica_lag_guard_ns: int = ms(250)
 
 
 class ComputingNode(ClusterNode):
@@ -105,7 +84,6 @@ class ComputingNode(ClusterNode):
         self.catalog = Catalog()
         self.pool = Semaphore(self.env, self.config.workers)
         self._txid_counter = 0
-        self._route_rng = random.Random((cn_index + 1) * 7919)
         # Placement (filled by the builder):
         self.primary_of_shard: dict[int, str] = {}
         self.replicas_of_shard: dict[int, list[str]] = {}
@@ -113,16 +91,9 @@ class ComputingNode(ClusterNode):
         self.region_cns: list[str] = []     # CN names in this region, ordered
         self.all_replicas: list[str] = []
         self.all_primaries: list[str] = []
-        # ROR state:
         self.rcp_state = RcpState()
-        self.metrics: dict[str, NodeMetrics] = {}
-        # (shard, staleness_bound, min_commit_ts) -> skyline near-pool,
-        # invalidated on every metrics/placement change.
-        self._route_cache: dict[tuple, list[NodeMetrics]] = {}
-        self.staleness = StalenessEstimator(self.env, self.gclock,
-                                            name=self.name)
-        self._collector: RcpCollector | None = None
-        self.is_collector = False
+        #: The ROR control plane; the builder attaches it on ROR clusters.
+        self.ror: ControlPlane | None = None
         # Counters:
         self.txns_committed = 0
         self.txns_aborted = 0
@@ -130,162 +101,15 @@ class ComputingNode(ClusterNode):
         self.primary_fallback_reads = 0
         self.read_only_queries = 0
 
-    # ------------------------------------------------------------------
-    # Wiring & background loops (called by the builder)
-    # ------------------------------------------------------------------
-    def start_background(self, initial_collector: bool) -> None:
-        """Start the ROR control plane. Everything it maintains (skyline
-        metrics, the RCP, replica frontiers kept moving by heartbeats) is
-        read only by ROR queries, so without ROR nothing is started."""
-        if not self.config.ror_enabled:
-            return
-        self.is_collector = initial_collector
-        self._collector = RcpCollector(
-            self.env, self.network, self.name,
-            replica_names=self.all_replicas,
-            peer_cn_names=[cn for cn in self.region_cns if cn != self.name],
-            poll_interval_ns=self.config.rcp_poll_interval_ns)
-        self.env.process(self._metrics_loop(), name=f"{self.name}:metrics")
-        self.env.process(self._rcp_loop(), name=f"{self.name}:rcp")
-        self.env.process(self._heartbeat_loop(), name=f"{self.name}:heartbeat")
-
-    def _metrics_loop(self):
-        while True:
-            if not self.failed:
-                self._refresh_metrics()
-            yield self.env.timeout(self.config.metrics_interval_ns)
-
-    def _refresh_metrics(self) -> None:
-        """Fire one status probe per data node; replies update the metric
-        table as they arrive (remote nodes answer after a WAN round trip,
-        so the loop must not block on the farthest node)."""
-        sent_at = self.env.now
-        for name in self.all_replicas + self.all_primaries:
-            request = self.network.request(
-                self.name, name, ("status",),
-                timeout_ns=self.config.metrics_interval_ns * 10)
-            request.add_callback(
-                lambda event, name=name, sent_at=sent_at:
-                self._on_status_reply(name, sent_at, event))
-
-    def _on_status_reply(self, name: str, sent_at: int, event) -> None:
-        event.defused = True
-        self.invalidate_routes()
-        if not event.ok:
-            existing = self.metrics.get(name)
-            if existing is not None:
-                existing.up = False
-            if self.env.series_on:
-                self._record_route_series(name)
-            return
-        status = event.value
-        self.staleness.observe_frontier(status["max_commit_ts"])
-        latency = (self.env.now - sent_at) // 2  # one-way estimate
-        staleness_ns = self.staleness.estimate_ns(
-            self.mode, status["max_commit_ts"])
-        self.metrics[name] = NodeMetrics(
-            name=name,
-            staleness_ns=staleness_ns,
-            latency_ns=latency + round(status["load"] * us(50)),
-            max_commit_ts=status["max_commit_ts"],
-            load=status["load"],
-            up=status["up"],
-            is_primary=(status["role"] == "primary"),
-        )
-        if status["role"] != "primary" and self.env.metrics_on:
-            # Replica lag as this CN estimates it (the skyline's input).
-            self.env.metrics.set_gauge("ror.staleness_ns", staleness_ns,
-                                       node=name)
-        if self.env.series_on:
-            if status["role"] != "primary":
-                self.env.series.gauge("ror.staleness_ns", staleness_ns,
-                                      node=name)
-            self._record_route_series(name)
-
-    def _record_route_series(self, name: str) -> None:
-        """Telemetry snapshot of this CN's routing view after a status
-        update for ``name`` (only called under ``env.series_on``)."""
-        series = self.env.series
-        node = self.metrics.get(name)
-        if node is not None:
-            series.gauge("cluster.node_up", 1 if node.up else 0, node=name)
-        for shard, replica_names in self.replicas_of_shard.items():
-            if name in replica_names:
-                # Only report once every replica of the shard has checked
-                # in at least once: an unknown replica is not a lost one,
-                # and reporting early would false-alarm the quorum monitor
-                # during the first status round-trips.
-                statuses = [self.metrics.get(replica)
-                            for replica in replica_names]
-                if all(status is not None for status in statuses):
-                    up = sum(1 for status in statuses if status.up)
-                    series.gauge("cluster.shard_replicas_up", up,
-                                 shard=f"s{shard}", cn=self.name)
-                break
-        summary = skyline_summary(self.metrics.values())
-        series.gauge("ror.skyline_size", summary["skyline"], cn=self.name)
-        series.gauge("ror.freshest_staleness_ns",
-                     summary["freshest_staleness_ns"], cn=self.name)
-        series.gauge("ror.stalest_staleness_ns",
-                     summary["stalest_staleness_ns"], cn=self.name)
-
-    def _rcp_loop(self):
-        while True:
-            if not self.failed:
-                if self.is_collector:
-                    yield from self._collector.poll(self._on_rcp_computed)
-                else:
-                    self._maybe_take_over()
-            yield self.env.timeout(self.config.rcp_poll_interval_ns)
-
-    def _on_rcp_computed(self, rcp: int) -> None:
-        self._note_rcp_update()
-        self.rcp_state.update(rcp, self.env.now, self.name)
-
-    def _note_rcp_update(self) -> None:
-        """Record how stale this CN's RCP view got before the update."""
-        metrics = self.env.metrics
-        if metrics.enabled and self.rcp_state.updates_received:
-            metrics.histogram("ror.rcp_age_ns", cn=self.name).record(
-                self.rcp_state.age_ns(self.env.now))
-
-    def _maybe_take_over(self) -> None:
-        """Collector failover: if RCP updates stopped and this CN is the
-        first live CN in its region's order, it takes the role (§IV-A)."""
-        age = self.rcp_state.age_ns(self.env.now)
-        if age < self.config.collector_timeout_ns:
-            return
-        for name in self.region_cns:
-            if name == self.name:
-                self.is_collector = True
-                return
-            peer = self.network.endpoint(name)
-            if peer.up:
-                return  # an earlier CN is alive; it should take over
-
-    def _heartbeat_loop(self):
-        while True:
-            if not self.failed and self.is_collector:
-                requests = [
-                    self.network.request(self.name, primary, ("heartbeat",),
-                                         timeout_ns=self.config.heartbeat_interval_ns * 4)
-                    for primary in self.all_primaries
-                ]
-                yield settle(self.env, requests)
-            yield self.env.timeout(self.config.heartbeat_interval_ns)
-
     def _on_notice(self, payload: tuple, message: Message) -> None:
         kind = payload[0]
         if kind == "placement_update":
             _kind, shard, new_primary = payload
             self.primary_of_shard[shard] = new_primary
-            self.invalidate_routes()
+            if self.ror is not None:
+                self.ror.invalidate_routes()
         elif kind == "rcp_update":
-            _kind, rcp, collector = payload
-            self._note_rcp_update()
-            self.rcp_state.update(rcp, self.env.now, collector)
-            if collector != self.name:
-                self.is_collector = False
+            self.ror.on_rcp_update(*payload[1:])
         elif kind == "ddl_apply":
             _kind, action, table, ddl_payload, ddl_ts = payload
             self._apply_ddl_locally(action, table, ddl_payload, ddl_ts)
@@ -304,8 +128,7 @@ class ComputingNode(ClusterNode):
         started = self.env.now
         yield self.pool.acquire()
         try:
-            if self.config.statement_cost_ns:
-                yield self.env.timeout(self.config.statement_cost_ns)
+            yield self.env.timeout(self.config.statement_cost_ns)
         finally:
             self.pool.release()
             if self.env.metrics_on:
@@ -328,21 +151,40 @@ class ComputingNode(ClusterNode):
                             mode=str(mode))
         return ctx
 
-    def _primary(self, shard: int) -> str:
-        return self.primary_of_shard[shard]
-
     def _op(self, ctx: TxnContext, shard: int, body: tuple):
         """Generator: one transactional RPC to a shard primary, with a
         timeout so a dead primary aborts the transaction instead of
         hanging the client."""
         try:
             reply = yield self.network.request(
-                self.name, self._primary(shard), body,
-                timeout_ns=self.config.op_timeout_ns)
+                self.name, self.primary_of_shard[shard], body,
+                timeout_ns=OP_TIMEOUT_NS)
         except NetworkError as exc:
             yield from self.g_abort(ctx)
             raise TransactionAborted(f"shard {shard} unreachable: {exc}")
         return reply
+
+    def _write_op(self, ctx: TxnContext, shard: int, body: tuple):
+        """Generator: one row write (or row lock) on a shard primary; a
+        write-write conflict aborts the transaction."""
+        ctx.touched_shards.add(shard)
+        ctx.write_shards.add(shard)
+        reply = yield from self._op(ctx, shard, body)
+        if reply[0] == "conflict":
+            yield from self.g_abort(ctx)
+            raise WriteConflict(reply[1])
+        return reply[1]
+
+    def _each_primary(self, shards: typing.Iterable[int], body: tuple):
+        """Generator: send ``body`` to each shard's primary, in order, and
+        return the requests once all have settled (failures included)."""
+        requests = [
+            self.network.request(self.name, self.primary_of_shard[shard],
+                                 body, timeout_ns=OP_TIMEOUT_NS)
+            for shard in shards
+        ]
+        yield settle(self.env, requests)
+        return requests
 
     def _shard_for_key(self, table: str, key: tuple) -> int:
         shard = self.shard_map.shard_for_key(table, key)
@@ -355,84 +197,58 @@ class ComputingNode(ClusterNode):
             return 0
         return shard
 
+    def _key_shards(self, table: str, key: tuple) -> list[int]:
+        """Every shard a write to ``key`` must reach."""
+        if self.shard_map.is_replicated(table):
+            return self.shard_map.all_shards()
+        return [self._shard_for_key(table, key)]
+
+    def _lookup_shard(self, table: str, shard_value) -> int:
+        if self.shard_map.is_replicated(table):
+            return self._shard_for_key(table, ())
+        return self.shard_map.shard_for_value(table, shard_value)
+
     def g_read(self, ctx: TxnContext, table: str, key: tuple):
         shard = self._shard_for_key(table, key)
         ctx.touched_shards.add(shard)
-        reply = yield from self._op(ctx, shard,
-                                    ("read", ctx.txid, ctx.read_ts, table, key))
-        row, _ts = reply
+        row, _ts = yield from self._op(
+            ctx, shard, ("read", ctx.txid, ctx.read_ts, table, key))
         return row
 
     def g_read_for_update(self, ctx: TxnContext, table: str, key: tuple):
-        shard = self._shard_for_key(table, key)
-        ctx.touched_shards.add(shard)
-        ctx.write_shards.add(shard)
-        reply = yield from self._op(ctx, shard,
-                                    ("read_for_update", ctx.txid, table, key))
-        if reply[0] == "conflict":
-            yield from self.g_abort(ctx)
-            raise WriteConflict(reply[1])
-        return reply[1]
+        return (yield from self._write_op(
+            ctx, self._shard_for_key(table, key),
+            ("read_for_update", ctx.txid, table, key)))
 
     def g_insert(self, ctx: TxnContext, table: str, row: dict):
         shards = self.shard_map.write_shards(table, row)
-        for shard in shards:
-            ctx.touched_shards.add(shard)
-            ctx.write_shards.add(shard)
-        requests = [
-            self.network.request(self.name, self._primary(shard),
-                                 ("insert", ctx.txid, table, row),
-                                 timeout_ns=self.config.op_timeout_ns)
-            for shard in shards
-        ]
-        yield settle(self.env, requests)
+        ctx.touched_shards.update(shards)
+        ctx.write_shards.update(shards)
+        requests = yield from self._each_primary(
+            shards, ("insert", ctx.txid, table, row))
         for request in requests:
             if not request.ok:
                 yield from self.g_abort(ctx)
                 raise TransactionAborted(f"insert failed: {request.value}")
-            reply = request.value
-            if reply[0] != "ok":
+            if request.value[0] != "ok":
                 yield from self.g_abort(ctx)
-                error = reply[1]
-                if isinstance(error, Exception):
-                    raise TransactionAborted(str(error))
-                raise TransactionAborted(str(error))
+                raise TransactionAborted(str(request.value[1]))
         return row
 
     def g_update(self, ctx: TxnContext, table: str, key: tuple,
                  changes: typing.Mapping):
-        if self.shard_map.is_replicated(table):
-            shards = self.shard_map.all_shards()
-        else:
-            shards = [self._shard_for_key(table, key)]
         results = []
-        for shard in shards:
-            ctx.touched_shards.add(shard)
-            ctx.write_shards.add(shard)
-            reply = yield from self._op(ctx, shard,
-                                        ("update", ctx.txid, table, key,
-                                         changes))
-            if reply[0] == "conflict":
-                yield from self.g_abort(ctx)
-                raise WriteConflict(reply[1])
-            results.append(reply[1])
+        for shard in self._key_shards(table, key):
+            results.append((yield from self._write_op(
+                ctx, shard, ("update", ctx.txid, table, key, changes))))
         return results[0]
 
     def g_delete(self, ctx: TxnContext, table: str, key: tuple):
-        if self.shard_map.is_replicated(table):
-            shards = self.shard_map.all_shards()
-        else:
-            shards = [self._shard_for_key(table, key)]
         deleted = False
-        for shard in shards:
-            ctx.touched_shards.add(shard)
-            ctx.write_shards.add(shard)
-            reply = yield from self._op(ctx, shard,
-                                        ("delete", ctx.txid, table, key))
-            if reply[0] == "conflict":
-                yield from self.g_abort(ctx)
-                raise WriteConflict(reply[1])
-            deleted = deleted or reply[1]
+        for shard in self._key_shards(table, key):
+            found = yield from self._write_op(
+                ctx, shard, ("delete", ctx.txid, table, key))
+            deleted = deleted or found
         return deleted
 
     def g_scan(self, ctx: TxnContext, table: str,
@@ -441,30 +257,19 @@ class ComputingNode(ClusterNode):
         shards = self.shard_map.all_shards()
         ctx.touched_shards.update(shards)
         requests = [
-            self.network.request(self.name, self._primary(shard),
+            self.network.request(self.name, self.primary_of_shard[shard],
                                  ("scan", ctx.txid, ctx.read_ts, table, predicate))
             for shard in shards
         ]
         yield self.env.all_of(requests)
-        rows: list[dict] = []
-        seen_keys: set = set()
-        replicated = self.shard_map.is_replicated(table)
-        schema = self.shard_map.schema(table)
-        for request in requests:
-            shard_rows, detail = request.value
-            if shard_rows == "error":
-                yield from self.g_abort(ctx)
-                raise SqlError(f"scan of {table} failed: {detail!r}") \
-                    from detail
-            if replicated:
-                for row in shard_rows:
-                    key = schema.key_of(row)
-                    if key not in seen_keys:
-                        seen_keys.add(key)
-                        rows.append(row)
-            else:
-                rows.extend(shard_rows)
-        return rows
+        try:
+            return self._merge_rows(
+                [request.value for request in requests],
+                self.shard_map.is_replicated(table),
+                self.shard_map.schema(table))
+        except SqlError:
+            yield from self.g_abort(ctx)
+            raise
 
     def g_lookup(self, ctx: TxnContext, table: str, column: str,
                  value: typing.Any, shard_value: typing.Any):
@@ -473,14 +278,11 @@ class ComputingNode(ClusterNode):
         ``shard_value`` is the distribution-column value locating the shard
         (e.g. the warehouse id for TPC-C tables).
         """
-        shard = self.shard_map.shard_for_value(table, shard_value) \
-            if not self.shard_map.is_replicated(table) \
-            else self._shard_for_key(table, ())
+        shard = self._lookup_shard(table, shard_value)
         ctx.touched_shards.add(shard)
-        reply = yield self.network.request(
-            self.name, self._primary(shard),
+        rows, _ts = yield self.network.request(
+            self.name, self.primary_of_shard[shard],
             ("lookup_index", ctx.txid, ctx.read_ts, table, column, value))
-        rows, _ts = reply
         return rows
 
     def g_commit(self, ctx: TxnContext):
@@ -506,9 +308,9 @@ class ComputingNode(ClusterNode):
         if len(write_shards) == 1:
             try:
                 reply = yield self.network.request(
-                    self.name, self._primary(write_shards[0]),
+                    self.name, self.primary_of_shard[write_shards[0]],
                     ("commit_local", ctx.txid, ctx.mode),
-                    timeout_ns=self.config.op_timeout_ns)
+                    timeout_ns=OP_TIMEOUT_NS)
             except NetworkError as exc:
                 self._note_abort()
                 raise CommitOutcomeUnknown(
@@ -543,57 +345,33 @@ class ComputingNode(ClusterNode):
 
     def _commit_2pc(self, ctx: TxnContext, write_shards: list[int],
                     commit_started: int):
-        prepares = [
-            self.network.request(self.name, self._primary(shard),
-                                 ("prepare", ctx.txid),
-                                 timeout_ns=self.config.op_timeout_ns)
-            for shard in write_shards
-        ]
-        yield settle(self.env, prepares)
-        if not all(request.ok and request.value[0] == "ok" for request in prepares):
-            yield from self._abort_prepared_everywhere(ctx, write_shards)
-            self._note_abort()
-            raise TransactionAborted("2PC prepare failed")
+        prepares = yield from self._each_primary(write_shards,
+                                                 ("prepare", ctx.txid))
         try:
+            if not all(request.ok and request.value[0] == "ok"
+                       for request in prepares):
+                raise TransactionAborted("2PC prepare failed")
             ts = yield from self.provider.commit_ts(ctx.mode, txid=ctx.txid)
         except TransactionAborted:
-            yield from self._abort_prepared_everywhere(ctx, write_shards)
+            yield from self._each_primary(write_shards,
+                                          ("abort_prepared", ctx.txid))
             self._note_abort()
             raise
-        finishes = [
-            self.network.request(self.name, self._primary(shard),
-                                 ("commit_prepared", ctx.txid, ts),
-                                 timeout_ns=self.config.op_timeout_ns)
-            for shard in write_shards
-        ]
-        yield settle(self.env, finishes)
+        yield from self._each_primary(write_shards,
+                                      ("commit_prepared", ctx.txid, ts))
         self.txns_committed += 1
         self._trace_commit(ctx, commit_started, ts, shards=len(write_shards))
         return ts
-
-    def _abort_prepared_everywhere(self, ctx: TxnContext,
-                                   write_shards: list[int]):
-        aborts = [
-            self.network.request(self.name, self._primary(shard),
-                                 ("abort_prepared", ctx.txid),
-                                 timeout_ns=self.config.op_timeout_ns)
-            for shard in write_shards
-        ]
-        yield settle(self.env, aborts)
 
     def g_abort(self, ctx: TxnContext):
         if ctx.finished:
             return
         ctx.finished = True
         self._note_abort()
-        aborts = [
-            self.network.request(self.name, self._primary(shard),
-                                 ("abort", ctx.txid),
-                                 timeout_ns=self.config.op_timeout_ns)
-            for shard in sorted(ctx.write_shards)
-        ]
-        if aborts:
-            yield settle(self.env, aborts)
+        if ctx.write_shards:
+            # Not through settle([]): an empty settle still schedules.
+            yield from self._each_primary(sorted(ctx.write_shards),
+                                          ("abort", ctx.txid))
 
     # ------------------------------------------------------------------
     # Read-only queries (ROR when enabled, primary reads otherwise)
@@ -604,57 +382,6 @@ class ComputingNode(ClusterNode):
         if rcp > self.catalog.max_ddl_ts:
             return True
         return all(rcp > self.catalog.ddl_ts(table) for table in tables)
-
-    def invalidate_routes(self) -> None:
-        """Drop cached routing pools. Must be called after *any* change to
-        the inputs of :meth:`_choose_read_node`: the ``self.metrics``
-        table (status replies, failure marking) or the shard placement
-        (placement updates, failover rewiring)."""
-        self._route_cache.clear()
-
-    def _choose_read_node(self, shard: int, rcp: int,
-                          staleness_bound_ns: int | None) -> tuple[str, bool]:
-        """Pick (node_name, is_replica) for a shard read at the RCP.
-
-        The skyline near-pool is cached per ``(shard, bound, min_ts)``
-        between metric/placement changes; the pool's order — and hence the
-        ``rng.choice`` draw sequence — is identical to recomputing, so the
-        cache cannot alter simulated histories."""
-        min_ts = max(0, rcp - self.config.replica_lag_guard_ns)
-        cache_key = (shard, staleness_bound_ns, min_ts)
-        near = self._route_cache.get(cache_key)
-        if near is None:
-            candidates = []
-            for name in self.replicas_of_shard.get(shard, []):
-                metrics = self.metrics.get(name)
-                if metrics is not None:
-                    candidates.append(metrics)
-            primary_metrics = self.metrics.get(self._primary(shard))
-            if primary_metrics is not None:
-                candidates.append(primary_metrics)
-            near = near_pool(candidates, staleness_bound_ns, min_ts)
-            self._route_cache[cache_key] = near
-        if not near:
-            if staleness_bound_ns is not None:
-                raise StalenessBoundError(
-                    f"no node for shard {shard} within "
-                    f"{staleness_bound_ns}ns staleness")
-            primary_name = self._primary(shard)
-            if self.network.endpoint(primary_name).up:
-                if self.env.metrics_on:
-                    self.env.metrics.counter("ror.picks", cn=self.name,
-                                             target="primary_fallback").inc()
-                return primary_name, False
-            raise ReplicaUnavailableError(f"no live node for shard {shard}")
-        if len(near) == 1:
-            chosen = near[0]
-        else:
-            chosen = self._route_rng.choice(near)
-        if self.env.metrics_on:
-            self.env.metrics.counter(
-                "ror.picks", cn=self.name,
-                target="primary" if chosen.is_primary else "replica").inc()
-        return chosen.name, not chosen.is_primary
 
     def ro_snapshot(self, tables: typing.Sequence[str], min_read_ts: int = 0):
         """Generator: pin a snapshot for a read-only query.
@@ -667,7 +394,7 @@ class ComputingNode(ClusterNode):
         """
         yield from self._statement()
         self.read_only_queries += 1
-        if self.config.ror_enabled:
+        if self.ror is not None:
             rcp = self.rcp_state.rcp
             if rcp >= min_read_ts and self._ddl_fence_ok(tables, rcp):
                 return rcp, True
@@ -676,37 +403,34 @@ class ComputingNode(ClusterNode):
 
     def _ro_shard_call(self, shard: int, read_ts: int, use_ror: bool,
                        staleness_bound_ns: int | None,
-                       replica_body, primary_body):
+                       replica_body: tuple, primary_body: tuple):
         """Generator: one read-only RPC against the best node for a shard.
 
-        ``replica_body(node)`` / ``primary_body(node)`` build the request
-        payloads. On a network failure the node is marked down in the
-        metric table and the call retries against the primary — the
-        paper's automatic rerouting around failed nodes (§IV-B).
+        ``replica_body`` / ``primary_body`` are the request payloads for a
+        replica and for the primary. On a network failure the node is
+        marked down in the metric table and the call retries against the
+        primary — the paper's automatic rerouting around failed nodes
+        (§IV-B).
         """
         if use_ror:
-            node, is_replica = self._choose_read_node(shard, read_ts,
-                                                      staleness_bound_ns)
+            node, is_replica = self.ror.choose_read_node(shard, read_ts,
+                                                         staleness_bound_ns)
         else:
-            node, is_replica = self._primary(shard), False
-        body = replica_body(node) if is_replica else primary_body(node)
+            node, is_replica = self.primary_of_shard[shard], False
         try:
             reply = yield self.network.request(
-                self.name, node, body, timeout_ns=self.config.op_timeout_ns)
+                self.name, node, replica_body if is_replica else primary_body,
+                timeout_ns=OP_TIMEOUT_NS)
         except NetworkError:
-            known = self.metrics.get(node)
-            if known is not None:
-                known.up = False
-                self.invalidate_routes()
-            primary = self._primary(shard)
+            if self.ror is not None:
+                self.ror.mark_down(node)
+            primary = self.primary_of_shard[shard]
             if node == primary or not self.network.endpoint(primary).up:
                 raise ReplicaUnavailableError(
                     f"no reachable node for shard {shard}")
             self.primary_fallback_reads += 1
-            reply = yield self.network.request(
-                self.name, primary, primary_body(primary),
-                timeout_ns=self.config.op_timeout_ns)
-            return reply
+            return (yield self.network.request(
+                self.name, primary, primary_body, timeout_ns=OP_TIMEOUT_NS))
         if is_replica:
             self.ror_reads += 1
         elif use_ror:
@@ -724,28 +448,20 @@ class ComputingNode(ClusterNode):
     def g_ro_read(self, read_ts: int, use_ror: bool, table: str, key: tuple,
                   staleness_bound_ns: int | None = None):
         """Generator: one row at a pinned read-only snapshot."""
-        shard = self._shard_for_key(table, key)
-        reply = yield from self._ro_shard_call(
-            shard, read_ts, use_ror, staleness_bound_ns,
-            lambda node: ("read_replica", read_ts, table, key),
-            lambda node: ("read", None, read_ts, table, key))
-        return reply[0]
-
-    def _lookup_shard(self, table: str, shard_value) -> int:
-        if self.shard_map.is_replicated(table):
-            return self._shard_for_key(table, ())
-        return self.shard_map.shard_for_value(table, shard_value)
+        return (yield from self._ro_shard_call(
+            self._shard_for_key(table, key), read_ts, use_ror,
+            staleness_bound_ns, ("read_replica", read_ts, table, key),
+            ("read", None, read_ts, table, key)))[0]
 
     def g_ro_lookup(self, read_ts: int, use_ror: bool, table: str,
                     column: str, value: typing.Any, shard_value: typing.Any,
                     staleness_bound_ns: int | None = None):
         """Generator: index lookup at a pinned read-only snapshot."""
-        shard = self._lookup_shard(table, shard_value)
-        reply = yield from self._ro_shard_call(
-            shard, read_ts, use_ror, staleness_bound_ns,
-            lambda node: ("lookup_replica", read_ts, table, column, value),
-            lambda node: ("lookup_index", None, read_ts, table, column, value))
-        return reply[0]
+        return (yield from self._ro_shard_call(
+            self._lookup_shard(table, shard_value), read_ts, use_ror,
+            staleness_bound_ns,
+            ("lookup_replica", read_ts, table, column, value),
+            ("lookup_index", None, read_ts, table, column, value)))[0]
 
     def g_ro_read_batch(self, read_ts: int, use_ror: bool, table: str,
                         keys: typing.Sequence[tuple],
@@ -753,13 +469,12 @@ class ComputingNode(ClusterNode):
         """Generator: several same-shard point reads in one statement."""
         if not keys:
             return []
-        shard = self._shard_for_key(table, keys[0])
         key_list = list(keys)
-        reply = yield from self._ro_shard_call(
-            shard, read_ts, use_ror, staleness_bound_ns,
-            lambda node: ("read_replica_batch", read_ts, table, key_list),
-            lambda node: ("read_batch", None, read_ts, table, key_list))
-        return reply[0]
+        return (yield from self._ro_shard_call(
+            self._shard_for_key(table, keys[0]), read_ts, use_ror,
+            staleness_bound_ns,
+            ("read_replica_batch", read_ts, table, key_list),
+            ("read_batch", None, read_ts, table, key_list)))[0]
 
     def g_ro_lookup_batch(self, read_ts: int, use_ror: bool, table: str,
                           column: str, values: typing.Sequence,
@@ -768,15 +483,12 @@ class ComputingNode(ClusterNode):
         """Generator: several same-shard index lookups in one statement."""
         if not values:
             return []
-        shard = self._lookup_shard(table, shard_value)
         value_list = list(values)
-        reply = yield from self._ro_shard_call(
-            shard, read_ts, use_ror, staleness_bound_ns,
-            lambda node: ("lookup_replica_batch", read_ts, table, column,
-                          value_list),
-            lambda node: ("lookup_batch", None, read_ts, table, column,
-                          value_list))
-        return reply[0]
+        return (yield from self._ro_shard_call(
+            self._lookup_shard(table, shard_value), read_ts, use_ror,
+            staleness_bound_ns,
+            ("lookup_replica_batch", read_ts, table, column, value_list),
+            ("lookup_batch", None, read_ts, table, column, value_list)))[0]
 
     def g_read_only(self, table: str, key: tuple,
                     staleness_bound_ns: int | None = None,
@@ -788,10 +500,8 @@ class ComputingNode(ClusterNode):
         fresh provider snapshot.
         """
         read_ts, use_ror = yield from self.ro_snapshot([table], min_read_ts)
-        bound = (staleness_bound_ns if staleness_bound_ns is not None
-                 else self.config.default_staleness_bound_ns)
         return (yield from self.g_ro_read(read_ts, use_ror, table, key,
-                                          staleness_bound_ns=bound))
+                                          staleness_bound_ns))
 
     def g_read_only_multi(self, table: str, keys: typing.Sequence[tuple],
                           staleness_bound_ns: int | None = None,
@@ -799,14 +509,10 @@ class ComputingNode(ClusterNode):
         """Generator: a consistent multi-row (multi-shard) read-only query;
         all rows are read at one snapshot."""
         read_ts, use_ror = yield from self.ro_snapshot([table], min_read_ts)
-        bound = (staleness_bound_ns if staleness_bound_ns is not None
-                 else self.config.default_staleness_bound_ns)
-        replies = yield from self._ro_fanout([
-            self.g_ro_read(read_ts, use_ror, table, key,
-                           staleness_bound_ns=bound)
+        return (yield from self._ro_fanout([
+            self.g_ro_read(read_ts, use_ror, table, key, staleness_bound_ns)
             for key in keys
-        ])
-        return replies
+        ]))
 
     def g_scan_only(self, table: str,
                     predicate: typing.Callable[[dict], bool] | None = None,
@@ -814,24 +520,17 @@ class ComputingNode(ClusterNode):
                     min_read_ts: int = 0):
         """Generator: a consistent read-only scan over every shard."""
         read_ts, use_ror = yield from self.ro_snapshot([table], min_read_ts)
-        bound = (staleness_bound_ns if staleness_bound_ns is not None
-                 else self.config.default_staleness_bound_ns)
         replicated = self.shard_map.is_replicated(table)
-        schema = self.shard_map.schema(table)
         shards = ([self._shard_for_key(table, ())] if replicated
                   else self.shard_map.all_shards())
-
-        def one_shard(shard):
-            reply = yield from self._ro_shard_call(
-                shard, read_ts, use_ror, bound,
-                lambda node: ("scan_replica", read_ts, table, predicate),
-                lambda node: ("scan", None, read_ts, table, predicate))
-            return reply
-
-        replies = yield from self._ro_fanout(
-            [one_shard(shard) for shard in shards])
+        replies = yield from self._ro_fanout([
+            self._ro_shard_call(shard, read_ts, use_ror, staleness_bound_ns,
+                                ("scan_replica", read_ts, table, predicate),
+                                ("scan", None, read_ts, table, predicate))
+            for shard in shards
+        ])
         return self._merge_rows(replies, replicated and len(replies) > 1,
-                                schema)
+                                self.shard_map.schema(table))
 
     @staticmethod
     def _merge_rows(replies, dedupe: bool, schema: TableSchema) -> list[dict]:
@@ -857,41 +556,32 @@ class ComputingNode(ClusterNode):
     def g_create_table(self, schema: TableSchema,
                        range_bounds: list | None = None):
         """Generator: execute CREATE TABLE across the cluster."""
-        ddl_ts = yield from self.provider.commit_ts(self.mode)
-        self.shard_map.register(schema, range_bounds)
-        requests = [
-            self.network.request(self.name, primary,
-                                 ("ddl", "create_table", schema.name, schema, ddl_ts))
-            for primary in self.all_primaries
-        ]
-        yield self.env.all_of(requests)
-        self._apply_ddl_locally("create_table", schema.name, schema, ddl_ts)
-        self._broadcast_ddl("create_table", schema.name, schema, ddl_ts)
-        return ddl_ts
+        return (yield from self._ddl("create_table", schema.name, schema,
+                                     range_bounds))
 
     def g_drop_table(self, table: str):
-        ddl_ts = yield from self.provider.commit_ts(self.mode)
-        requests = [
-            self.network.request(self.name, primary,
-                                 ("ddl", "drop_table", table, None, ddl_ts))
-            for primary in self.all_primaries
-        ]
-        yield self.env.all_of(requests)
-        self.shard_map.unregister(table)
-        self._apply_ddl_locally("drop_table", table, None, ddl_ts)
-        self._broadcast_ddl("drop_table", table, None, ddl_ts)
-        return ddl_ts
+        return (yield from self._ddl("drop_table", table, None))
 
     def g_create_index(self, table: str, column: str):
+        return (yield from self._ddl("create_index", table, column))
+
+    def _ddl(self, action: str, table: str, payload,
+             range_bounds: list | None = None):
+        """Generator: take a DDL timestamp, apply ``action`` on every
+        primary, then on this CN and its peers."""
         ddl_ts = yield from self.provider.commit_ts(self.mode)
+        if action == "create_table":
+            self.shard_map.register(payload, range_bounds)
         requests = [
             self.network.request(self.name, primary,
-                                 ("ddl", "create_index", table, column, ddl_ts))
+                                 ("ddl", action, table, payload, ddl_ts))
             for primary in self.all_primaries
         ]
         yield self.env.all_of(requests)
-        self._apply_ddl_locally("create_index", table, column, ddl_ts)
-        self._broadcast_ddl("create_index", table, column, ddl_ts)
+        if action == "drop_table":
+            self.shard_map.unregister(table)
+        self._apply_ddl_locally(action, table, payload, ddl_ts)
+        self._broadcast_ddl(action, table, payload, ddl_ts)
         return ddl_ts
 
     def _apply_ddl_locally(self, action: str, table: str, payload, ddl_ts: int) -> None:

@@ -147,9 +147,8 @@ class FailoverManager:
             cn.all_replicas = [replica.name
                                for replica_list in self.replicas.values()
                                for replica in replica_list]
-            if cn._collector is not None:
-                cn._collector.replica_names = list(cn.all_replicas)
-            cn.invalidate_routes()
+            if cn.ror is not None:
+                cn.ror.invalidate_routes()
             self.network.send(self.name, cn.name,
                               ("placement_update", shard, chosen.name),
                               size_bytes=128)

@@ -1,6 +1,6 @@
 """Reads on asynchronous replicas with guaranteed consistency (§IV).
 
-Three pieces:
+Four pieces:
 
 - :mod:`repro.ror.rcp` — the Replica Consistency Point: the largest commit
   timestamp available on *all* polled replicas, computed by an elected
@@ -11,15 +11,17 @@ Three pieces:
 - :mod:`repro.ror.skyline` — cost-based node selection: a Pareto skyline
   over (staleness, latency/load) from which the router picks the fastest
   node satisfying a query's freshness bound, excluding failed nodes.
+- :mod:`repro.ror.control` — one CN's control plane: the loops that feed
+  the three above (status probes, RCP collection, heartbeats), collector
+  takeover, and the replica choice for each read.
 """
 
-from repro.ror.rcp import RcpCollector, RcpState, compute_rcp
+from repro.ror.rcp import RcpState, compute_rcp
 from repro.ror.skyline import NodeMetrics, choose_node, near_pool, skyline
 from repro.ror.staleness import StalenessEstimator
 
 __all__ = [
     "compute_rcp",
-    "RcpCollector",
     "RcpState",
     "NodeMetrics",
     "skyline",

@@ -8,21 +8,17 @@ that are present but unresolved). Reads at the RCP are therefore consistent
 across shards even though each shard replays independently.
 
 An elected collector CN polls the replicas, computes the RCP, and
-distributes it to the other CNs at its site. Distribution through a single
-collector keeps the RCP monotonic from every client's perspective even when
-clients are re-routed between CNs (load balancing, failover). If the
-collector dies, the next CN in deterministic order takes over.
+distributes it to the other CNs at its site; the role and its polling
+round live in :class:`repro.ror.control.ControlPlane`. Distribution through
+a single collector keeps the RCP monotonic from every client's perspective
+even when clients are re-routed between CNs (load balancing, failover). If
+the collector dies, the next CN in deterministic order takes over.
 """
 
 from __future__ import annotations
 
 import typing
 from dataclasses import dataclass
-
-from repro.sim.core import Environment
-from repro.sim.events import settle
-from repro.sim.network import Network
-from repro.sim.units import ms
 
 
 def compute_rcp(max_commit_ts_by_replica: typing.Mapping[str, int]) -> int:
@@ -55,76 +51,3 @@ class RcpState:
 
     def age_ns(self, now: int) -> int:
         return now - self.updated_at
-
-
-class RcpCollector:
-    """The collector role, hosted on a CN.
-
-    ``poll()`` is a generator the owning CN runs periodically while it holds
-    the collector role: it fans out ``max_commit_ts`` requests to every
-    replica, computes the minimum over the replies, and pushes the result to
-    the peer CNs. Replicas that fail to answer are skipped for that round
-    (a down replica must not freeze the RCP — it is excluded from routing
-    by the skyline anyway).
-    """
-
-    def __init__(self, env: Environment, network: Network, cn_name: str,
-                 replica_names: typing.Sequence[str],
-                 peer_cn_names: typing.Sequence[str],
-                 poll_interval_ns: int = ms(5), rpc_timeout_ns: int = ms(500)):
-        self.env = env
-        self.network = network
-        self.cn_name = cn_name
-        self.replica_names = list(replica_names)
-        self.peer_cn_names = [name for name in peer_cn_names if name != cn_name]
-        self.poll_interval_ns = poll_interval_ns
-        self.rpc_timeout_ns = rpc_timeout_ns
-        self.last_rcp = 0
-        self.polls = 0
-        self.failed_probes = 0
-
-    def poll(self, on_rcp: typing.Callable[[int], None]):
-        """Generator: one polling round. Calls ``on_rcp`` with the computed
-        RCP and pushes it to peer CNs."""
-        started = self.env.now
-        requests = {
-            name: self.network.request(
-                self.cn_name, name, ("max_commit_ts",),
-                timeout_ns=self.rpc_timeout_ns)
-            for name in self.replica_names
-        }
-        if requests:
-            yield settle(self.env, list(requests.values()))
-        maxima: dict[str, int] = {}
-        for name, request in requests.items():
-            if request.ok:
-                maxima[name] = request.value
-            else:
-                self.failed_probes += 1
-        self.polls += 1
-        if not maxima:
-            return self.last_rcp
-        rcp = compute_rcp(maxima)
-        advance = max(0, rcp - self.last_rcp)
-        if rcp > self.last_rcp:
-            self.last_rcp = rcp
-        if self.env.series_on:
-            series = self.env.series
-            series.gauge("ror.rcp", self.last_rcp, cn=self.cn_name)
-            if advance:
-                series.counter("ror.rcp_advance", advance, cn=self.cn_name)
-        metrics = self.env.metrics
-        if metrics.enabled:
-            metrics.counter("ror.rcp_polls", cn=self.cn_name).inc()
-            metrics.set_gauge("ror.rcp", self.last_rcp, cn=self.cn_name)
-        tracer = self.env.tracer
-        if tracer.enabled:
-            tracer.complete("ror", "rcp_poll", started, self.env.now,
-                            track=self.cn_name, rcp=self.last_rcp,
-                            replicas=len(maxima))
-        on_rcp(self.last_rcp)
-        for peer in self.peer_cn_names:
-            self.network.send(self.cn_name, peer,
-                              ("rcp_update", self.last_rcp, self.cn_name),
-                              size_bytes=64)
-        return self.last_rcp

@@ -307,12 +307,12 @@ class TestFailureInjection:
         db.run_for(0.2)
         region = db.cns[0].region
         region_cns = [cn for cn in db.cns if cn.region == region]
-        collector = next(cn for cn in region_cns if cn.is_collector)
-        backup = next(cn for cn in region_cns if not cn.is_collector)
+        collector = next(cn for cn in region_cns if cn.ror.is_collector)
+        backup = next(cn for cn in region_cns if not cn.ror.is_collector)
         rcp_before = backup.rcp_state.rcp
         collector.fail()
         db.run_for(0.5)
-        assert backup.is_collector
+        assert backup.ror.is_collector
         assert backup.rcp_state.rcp >= rcp_before
 
     def test_rcp_still_advances_after_replica_loss(self):

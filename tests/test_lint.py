@@ -256,7 +256,7 @@ class TestBlockingInGenerator:
         assert found == []
 
     def test_local_dict_named_requests_is_clean(self):
-        # ror/rcp.py shape: a local variable named `requests` is not the
+        # ror/control.py shape: a local variable named `requests` is not the
         # requests library.
         found = findings_for("""
             def g_poll(env, nodes):

@@ -49,7 +49,7 @@ class TestHeartbeats:
     def test_only_collector_sends_heartbeats(self):
         db, _session = idle_db()
         db.run_for(0.5)
-        collectors = [cn for cn in db.cns if cn.is_collector]
+        collectors = [cn for cn in db.cns if cn.ror.is_collector]
         assert len(collectors) == len(db.config.topology.regions)
 
 

@@ -53,7 +53,7 @@ class TestIdleTraffic:
         assert db.network.messages_delivered == 0
         assert db.stats()["gtm_requests"] == 0
         assert wal_records(db) == 0
-        assert not any(cn.is_collector for cn in db.cns)
+        assert all(cn.ror is None for cn in db.cns)
 
     def test_idle_ror_cluster_sends_what_it_always_sent(self):
         """Guards the other direction: with ROR the idle second carries
