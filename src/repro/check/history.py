@@ -74,15 +74,10 @@ class History:
     def __init__(self, ops: list[Op]):
         self.ops = ops
 
-    def __len__(self) -> int:
-        return len(self.ops)
-
     def __iter__(self):
         return iter(self.ops)
 
     # -- filters -------------------------------------------------------
-    def of_type(self, op_type: str) -> list[Op]:
-        return [op for op in self.ops if op.op == op_type]
 
     def committed(self, op_type: str | None = None) -> list[Op]:
         return [op for op in self.ops
@@ -123,10 +118,6 @@ class History:
                 if line:
                     ops.append(Op.from_dict(json.loads(line)))
         return cls(ops)
-
-    @classmethod
-    def from_dicts(cls, dicts: typing.Iterable[dict]) -> "History":
-        return cls([Op.from_dict(data) for data in dicts])
 
 
 class HistoryRecorder:

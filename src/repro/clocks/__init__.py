@@ -13,7 +13,6 @@ genuinely depends on the commit-wait protocol, as in the real system.
 """
 
 from repro.clocks.gclock import GClockSource, GClockTimestamp
-from repro.clocks.hlc import HybridLogicalClock
 from repro.clocks.physical import PhysicalClock
 from repro.clocks.sync import ClockSyncConfig, ClockSyncDaemon
 from repro.clocks.time_device import GlobalTimeDevice
@@ -25,5 +24,4 @@ __all__ = [
     "ClockSyncDaemon",
     "GClockSource",
     "GClockTimestamp",
-    "HybridLogicalClock",
 ]

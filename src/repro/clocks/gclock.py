@@ -25,9 +25,6 @@ class GClockTimestamp:
     ts: int
     err: int
 
-    def __int__(self) -> int:
-        return self.ts
-
 
 class GClockSource:
     """Per-node timestamp oracle backed by a synced physical clock."""
@@ -42,10 +39,6 @@ class GClockSource:
         if self.sync.config.analytic:
             self.sync._lazy_sync()
         return self.clock.read()
-
-    def error_bound_ns(self) -> int:
-        """Current ``T_err``."""
-        return self.sync.error_bound_ns()
 
     def timestamp(self) -> GClockTimestamp:
         """Take a timestamp per Eq. (1): ``T_clock + T_err``."""
@@ -81,8 +74,3 @@ class GClockSource:
                 return earliest
             needed = ts - earliest + 1
             yield self.env.timeout(max(1, round(needed * margin)))
-
-    def wait_ns_estimate(self, ts: int) -> int:
-        """How long the commit wait for ``ts`` would take from now (stats)."""
-        earliest = self.read() - self.sync.error_bound_ns()
-        return max(0, ts - earliest + 1)

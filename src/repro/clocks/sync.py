@@ -133,11 +133,6 @@ class ClockSyncDaemon:
         t_drift = round(age * self.clock.max_drift_ppm * 1e-6)
         return t_sync + t_drift
 
-    def last_sync_age_ns(self) -> int:
-        if self.config.analytic:
-            self._lazy_sync()
-        return self.env.now - self.last_sync_true_time
-
     @property
     def healthy(self) -> bool:
         """False once the error bound exceeds the configured threshold

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.clocks import GlobalTimeDevice
 from repro.errors import SimulationError
-from repro.obs import default_monitor_rules, enable_observability
+from repro.obs import MonitorEngine, default_monitor_rules, enable_observability
 from repro.replication.quorum import ReplicationPolicy
 from repro.replication.shipper import (LogShipper, ShipperConfig,
                                        replica_backlog)
@@ -38,7 +38,7 @@ from repro.txn.migration import MigrationCoordinator, MigrationReport
 from repro.txn.modes import TxnMode
 from repro.cluster.cn import CnConfig, ComputingNode
 from repro.cluster.client import Session
-from repro.cluster.dn import CostModel, DataNode
+from repro.cluster.dn import DataNode
 from repro.cluster.failover import FailoverManager
 from repro.cluster.sharding import ShardMap
 from repro.cluster.topology import Topology, one_region
@@ -56,7 +56,6 @@ class ClusterConfig:
     replication: ReplicationPolicy = field(default_factory=ReplicationPolicy.async_)
     shipper: ShipperConfig = field(default_factory=ShipperConfig.optimized)
     ror_enabled: bool = True
-    cost_model: CostModel = field(default_factory=CostModel)
     cn_config: CnConfig | None = None
     seed: int = 0
     gtm_region: str | None = None
@@ -70,21 +69,16 @@ class ClusterConfig:
     #: bounds and any staleness bound handed to queries.
     vacuum_interval_ns: int = 2_000_000_000
     vacuum_retention_ns: int = 5_000_000_000
-    vacuum_enabled: bool = True
     #: Observability (repro.obs): attach a live metrics registry and/or
     #: span tracer to the environment before any node is constructed.
     #: Purely passive — a run's event history is identical either way.
     metrics_enabled: bool = False
     trace_enabled: bool = False
-    trace_max_spans: int | None = 500_000
     #: Telemetry pipeline (repro.obs.timeseries / monitor): windowed
-    #: time-series sampling plus the default online SLO monitors. Also
-    #: passive; off by default so the pinned smoke digest is unchanged.
+    #: time-series sampling plus the default online SLO monitors
+    #: (default_monitor_rules). Also passive; off by default so the pinned
+    #: smoke digest is unchanged.
     timeseries_enabled: bool = False
-    telemetry_window_ns: int = 50_000_000
-    #: Monitor rules to attach when telemetry is on. None -> the default
-    #: SLO set (default_monitor_rules); pass () to sample without monitors.
-    monitor_rules: tuple | None = None
 
     @classmethod
     def baseline(cls, topology: Topology | None = None, **overrides) -> "ClusterConfig":
@@ -139,10 +133,6 @@ class GlobalDB:
         """Advance the simulation by ``duration_s`` simulated seconds."""
         self.env.run_for(seconds(duration_s))
 
-    def run_until_done(self, process) -> typing.Any:
-        """Run until a process (or event) completes; return its value."""
-        return self.env.run(until=process)
-
     # ------------------------------------------------------------------
     # Sessions
     # ------------------------------------------------------------------
@@ -157,12 +147,6 @@ class GlobalDB:
             cn = candidates[self._session_rr % len(candidates)]
             self._session_rr += 1
         return Session(self, cn)
-
-    def cn_in_region(self, region: str) -> ComputingNode:
-        for node in self.cns:
-            if node.region == region:
-                return node
-        raise SimulationError(f"no CN in region {region!r}")
 
     # ------------------------------------------------------------------
     # Offline setup (before the workload runs)
@@ -231,13 +215,6 @@ class GlobalDB:
         """Run the online GClock -> GTM transition to completion."""
         process = self.env.process(self.migration.to_gtm(), name="migrate")
         return self.env.run(until=process)
-
-    def start_migration_to_gclock(self):
-        """Kick off the transition without blocking (for live-load tests)."""
-        return self.env.process(self.migration.to_gclock(), name="migrate")
-
-    def start_migration_to_gtm(self):
-        return self.env.process(self.migration.to_gtm(), name="migrate")
 
     # ------------------------------------------------------------------
     # Fault & delay injection
@@ -313,17 +290,13 @@ def build_cluster(config: ClusterConfig) -> GlobalDB:
     if config.metrics_enabled or config.trace_enabled or config.timeseries_enabled:
         # Before node construction, so construction-time instruments land
         # in the live registry.
-        rules = config.monitor_rules
-        if rules is None and config.timeseries_enabled:
-            rules = default_monitor_rules(
-                replicas_per_shard=config.replicas_per_shard,
-                heartbeats=config.ror_enabled)
         enable_observability(env, metrics=config.metrics_enabled,
                              trace=config.trace_enabled,
-                             max_spans=config.trace_max_spans,
-                             timeseries=config.timeseries_enabled,
-                             window_ns=config.telemetry_window_ns,
-                             monitor_rules=rules)
+                             timeseries=config.timeseries_enabled)
+        if config.timeseries_enabled:
+            env.monitor = MonitorEngine(env, env.series, default_monitor_rules(
+                replicas_per_shard=config.replicas_per_shard,
+                heartbeats=config.ror_enabled))
     streams = RandomStreams(config.seed)
     network = Network(env, jitter_stream=streams.stream("net-jitter"))
     regions = list(config.topology.regions)
@@ -362,7 +335,7 @@ def build_cluster(config: ClusterConfig) -> GlobalDB:
         primary = DataNode(
             env, network, f"dn{shard}", primary_region,
             devices[primary_region], streams, gtm.name, mode=config.txn_mode,
-            shard_id=shard, role="primary", cost_model=config.cost_model,
+            shard_id=shard, role="primary",
             replication_policy=config.replication)
         primaries.append(primary)
         replicas[shard] = []
@@ -371,8 +344,7 @@ def build_cluster(config: ClusterConfig) -> GlobalDB:
             replica = DataNode(
                 env, network, f"dn{shard}r{index}", replica_region,
                 devices[replica_region], streams, gtm.name,
-                mode=config.txn_mode, shard_id=shard, role="replica",
-                cost_model=config.cost_model)
+                mode=config.txn_mode, shard_id=shard, role="replica")
             replicas[shard].append(replica)
             primary.acks.add_replica(replica.name, replica_region)
             shippers.append(LogShipper(
@@ -446,14 +418,13 @@ def build_cluster(config: ClusterConfig) -> GlobalDB:
                 cn.ror = ControlPlane(cn, initial_collector=(index == 0))
 
     # --- Background vacuum on every data node.
-    if config.vacuum_enabled:
-        for primary in primaries:
-            primary.start_vacuum(config.vacuum_interval_ns,
+    for primary in primaries:
+        primary.start_vacuum(config.vacuum_interval_ns,
+                             config.vacuum_retention_ns)
+    for replica_list in replicas.values():
+        for replica in replica_list:
+            replica.start_vacuum(config.vacuum_interval_ns,
                                  config.vacuum_retention_ns)
-        for replica_list in replicas.values():
-            for replica in replica_list:
-                replica.start_vacuum(config.vacuum_interval_ns,
-                                     config.vacuum_retention_ns)
 
     # --- Failover manager (probing only when enabled).
     failover = FailoverManager(

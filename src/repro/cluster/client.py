@@ -266,14 +266,5 @@ class _GeneratorTxn:
     def update(self, table: str, key: tuple, changes: typing.Mapping):
         return self._cn.g_update(self._ctx, table, key, changes)
 
-    def delete(self, table: str, key: tuple):
-        return self._cn.g_delete(self._ctx, table, key)
-
     def read(self, table: str, key: tuple):
         return self._cn.g_read(self._ctx, table, key)
-
-    def read_for_update(self, table: str, key: tuple):
-        return self._cn.g_read_for_update(self._ctx, table, key)
-
-    def scan(self, table: str, predicate=None):
-        return self._cn.g_scan(self._ctx, table, predicate)

@@ -151,14 +151,15 @@ class ComputingNode(ClusterNode):
                             mode=str(mode))
         return ctx
 
-    def _op(self, ctx: TxnContext, shard: int, body: tuple):
-        """Generator: one transactional RPC to a shard primary, with a
-        timeout so a dead primary aborts the transaction instead of
-        hanging the client."""
+    def _op(self, ctx: TxnContext, shard: int, body: tuple,
+            timeout_ns: int | None = OP_TIMEOUT_NS):
+        """Generator: one transactional RPC to a shard primary. A primary
+        that is down at send time, or silent past ``timeout_ns``, aborts
+        the transaction instead of hanging the client."""
         try:
             reply = yield self.network.request(
                 self.name, self.primary_of_shard[shard], body,
-                timeout_ns=OP_TIMEOUT_NS)
+                timeout_ns=timeout_ns)
         except NetworkError as exc:
             yield from self.g_abort(ctx)
             raise TransactionAborted(f"shard {shard} unreachable: {exc}")
@@ -261,7 +262,11 @@ class ComputingNode(ClusterNode):
                                  ("scan", ctx.txid, ctx.read_ts, table, predicate))
             for shard in shards
         ]
-        yield self.env.all_of(requests)
+        try:
+            yield self.env.all_of(requests)
+        except NetworkError as exc:
+            yield from self.g_abort(ctx)
+            raise TransactionAborted(f"scan of {table} failed: {exc}")
         try:
             return self._merge_rows(
                 [request.value for request in requests],
@@ -280,9 +285,11 @@ class ComputingNode(ClusterNode):
         """
         shard = self._lookup_shard(table, shard_value)
         ctx.touched_shards.add(shard)
-        rows, _ts = yield self.network.request(
-            self.name, self.primary_of_shard[shard],
-            ("lookup_index", ctx.txid, ctx.read_ts, table, column, value))
+        # No deadline: a deadline is a queue entry of its own.
+        rows, _ts = yield from self._op(
+            ctx, shard,
+            ("lookup_index", ctx.txid, ctx.read_ts, table, column, value),
+            timeout_ns=None)
         return rows
 
     def g_commit(self, ctx: TxnContext):

@@ -7,8 +7,9 @@ replica DN owns a :class:`~repro.replication.replica.ReplicaStore` fed by a
 :class:`~repro.replication.replayer.Replayer` and serves consistent reads
 at the RCP, holding back readers that touch unresolved transactions.
 
-Execution cost model: each operation spends ``CostModel`` CPU time inside a
-bounded worker pool (semaphore), giving nodes a realistic saturation point.
+Execution cost model: each operation spends a fixed CPU time (the ``*_NS``
+constants) inside a bounded worker pool (semaphore), giving nodes a
+realistic saturation point.
 Lock waits happen *outside* the pool so a lock convoy cannot deadlock the
 executor. A request's handler is a generator served by
 :meth:`~repro.sim.core.Environment.serve` from the delivery that brought
@@ -21,7 +22,6 @@ timeout, lock and commit-window waits, and the reply message.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass
 
 from repro.errors import NetworkError, TransactionAborted, WriteConflict
 from repro.replication.quorum import AckTracker, ReplicationPolicy
@@ -36,41 +36,29 @@ from repro.txn.modes import TxnMode
 from repro.cluster.node import ClusterNode
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Per-operation CPU costs on a data node.
-
-    These are aggregate stand-ins for everything a real op spends CPU on
-    (executor, buffer management, WAL insertion, network stack), sized so a
-    small simulated cluster saturates at a few thousand TPC-C transactions
-    per second — the regime the paper's closed-loop experiments operate in.
-    ``fast()`` gives near-zero costs for latency-focused tests.
-    """
-
-    point_read_ns: int = us(150)
-    write_ns: int = us(200)
-    scan_row_ns: int = us(5)
-    commit_ns: int = us(200)
-    workers: int = 4
-
-    @classmethod
-    def fast(cls) -> "CostModel":
-        return cls(point_read_ns=us(2), write_ns=us(2), scan_row_ns=0,
-                   commit_ns=us(2), workers=64)
+#: Per-operation CPU costs. These are aggregate stand-ins for everything a
+#: real op spends CPU on (executor, buffer management, WAL insertion, network
+#: stack), sized so a small simulated cluster saturates at a few thousand
+#: TPC-C transactions per second — the regime the paper's closed-loop
+#: experiments operate in.
+POINT_READ_NS = us(150)
+WRITE_NS = us(200)
+SCAN_ROW_NS = us(5)
+COMMIT_NS = us(200)
+#: Size of each node's worker pool.
+WORKERS = 4
 
 
 class DataNode(ClusterNode):
     """One shard's primary or replica."""
 
     def __init__(self, *args, shard_id: int = 0, role: str = "primary",
-                 cost_model: CostModel | None = None,
                  replication_policy: ReplicationPolicy | None = None,
                  **kwargs):
         super().__init__(*args, **kwargs)
         self.shard_id = shard_id
         self.role = role
-        self.cost = cost_model or CostModel()
-        self.pool = Semaphore(self.env, self.cost.workers)
+        self.pool = Semaphore(self.env, WORKERS)
         self.replication_policy = replication_policy or ReplicationPolicy.async_()
         if role == "primary":
             self.engine: StorageEngine | None = StorageEngine(self.env, self.name)
@@ -350,7 +338,7 @@ class DataNode(ClusterNode):
         self.catchup_requests += 1
         request = self.network.request(
             self.name, src, ("fetch_redo", self._enqueued_lsn),
-            timeout_ns=self.cost.commit_ns * 10 + 2_000_000_000)
+            timeout_ns=COMMIT_NS * 10 + 2_000_000_000)
 
         def on_reply(event) -> None:
             event.defused = True
@@ -378,7 +366,7 @@ class DataNode(ClusterNode):
     def _handle_read(self, request: Request) -> None:
         def run():
             _kind, txid, read_ts, table, key = request.body
-            yield from self._work(self.cost.point_read_ns)
+            yield from self._work(POINT_READ_NS)
             if read_ts is None:
                 # §III single-shard bypass: the node's own last committed
                 # timestamp is the snapshot — no invocation wait, no RPC.
@@ -391,7 +379,7 @@ class DataNode(ClusterNode):
     def _handle_read_for_update(self, request: Request) -> None:
         def run():
             _kind, txid, table, key = request.body
-            yield from self._work(self.cost.point_read_ns)
+            yield from self._work(POINT_READ_NS)
             self._ensure_begun(txid)
             try:
                 yield self.engine.locks.acquire(txid, table, key)
@@ -416,8 +404,8 @@ class DataNode(ClusterNode):
                 # fails the statement, not the node: reply with the error.
                 request.reply(("error", exc))
                 return
-            yield from self._work(self.cost.point_read_ns
-                                  + self.cost.scan_row_ns * len(rows))
+            yield from self._work(POINT_READ_NS
+                                  + SCAN_ROW_NS * len(rows))
             request.reply((rows, read_ts))
         self._spawn(run(), "scan")
 
@@ -428,8 +416,8 @@ class DataNode(ClusterNode):
                 read_ts = self.engine.last_commit_ts
             snapshot = Snapshot(read_ts, txid)
             rows = self.engine.lookup_index(table, column, value, snapshot)
-            yield from self._work(self.cost.point_read_ns
-                                  + self.cost.scan_row_ns * len(rows))
+            yield from self._work(POINT_READ_NS
+                                  + SCAN_ROW_NS * len(rows))
             request.reply((rows, read_ts))
         self._spawn(run(), "lookup_index")
 
@@ -437,8 +425,8 @@ class DataNode(ClusterNode):
         """Several point reads in one statement (e.g. an IN-list)."""
         def run():
             _kind, txid, read_ts, table, keys = request.body
-            yield from self._work(self.cost.point_read_ns
-                                  + self.cost.scan_row_ns * len(keys))
+            yield from self._work(POINT_READ_NS
+                                  + SCAN_ROW_NS * len(keys))
             if read_ts is None:
                 read_ts = self.engine.last_commit_ts
             snapshot = Snapshot(read_ts, txid)
@@ -461,8 +449,8 @@ class DataNode(ClusterNode):
             for value in values:
                 rows.extend(self.engine.lookup_index(table, column, value,
                                                      snapshot))
-            yield from self._work(self.cost.point_read_ns
-                                  + self.cost.scan_row_ns * max(len(rows),
+            yield from self._work(POINT_READ_NS
+                                  + SCAN_ROW_NS * max(len(rows),
                                                                 len(values)))
             request.reply((rows, read_ts))
         self._spawn(run(), "lookup_batch")
@@ -477,7 +465,7 @@ class DataNode(ClusterNode):
     def _handle_insert(self, request: Request) -> None:
         def run():
             _kind, txid, table, row = request.body
-            yield from self._work(self.cost.write_ns)
+            yield from self._work(WRITE_NS)
             self._ensure_begun(txid)
             try:
                 self.engine.insert(txid, table, row)
@@ -493,7 +481,7 @@ class DataNode(ClusterNode):
     def _handle_update(self, request: Request) -> None:
         def run():
             _kind, txid, table, key, changes = request.body
-            yield from self._work(self.cost.write_ns)
+            yield from self._work(WRITE_NS)
             self._ensure_begun(txid)
             try:
                 yield self.engine.locks.acquire(txid, table, key)
@@ -522,7 +510,7 @@ class DataNode(ClusterNode):
     def _handle_delete(self, request: Request) -> None:
         def run():
             _kind, txid, table, key = request.body
-            yield from self._work(self.cost.write_ns)
+            yield from self._work(WRITE_NS)
             self._ensure_begun(txid)
             try:
                 yield self.engine.locks.acquire(txid, table, key)
@@ -553,7 +541,7 @@ class DataNode(ClusterNode):
         """Single-shard commit: this DN is the commit point."""
         def run():
             _kind, txid, txn_mode = request.body
-            yield from self._work(self.cost.commit_ns)
+            yield from self._work(COMMIT_NS)
             if not self.engine.clog.known(txid):
                 self.engine.begin(txid)  # read-only on this shard: trivial
             policy = self._commit_policy(txid)
@@ -587,7 +575,7 @@ class DataNode(ClusterNode):
     def _handle_prepare(self, request: Request) -> None:
         def run():
             _kind, txid = request.body
-            yield from self._work(self.cost.commit_ns)
+            yield from self._work(COMMIT_NS)
             self._ensure_begun(txid)
             self.engine.prepare(txid)
             request.reply(("ok",))
@@ -596,7 +584,7 @@ class DataNode(ClusterNode):
     def _handle_commit_prepared(self, request: Request) -> None:
         def run():
             _kind, txid, ts = request.body
-            yield from self._work(self.cost.commit_ns)
+            yield from self._work(COMMIT_NS)
             policy = self._commit_policy(txid)
             lsn = self.engine.commit_prepared(txid, ts)
             yield from self._flush_wait(txid, lsn, policy)
@@ -607,7 +595,7 @@ class DataNode(ClusterNode):
     def _handle_abort(self, request: Request) -> None:
         def run():
             _kind, txid = request.body
-            yield from self._work(self.cost.commit_ns)
+            yield from self._work(COMMIT_NS)
             if self.engine.clog.known(txid) and self.engine.is_active(txid):
                 self.engine.abort(txid)
             self.aborts += 1
@@ -617,7 +605,7 @@ class DataNode(ClusterNode):
     def _handle_abort_prepared(self, request: Request) -> None:
         def run():
             _kind, txid = request.body
-            yield from self._work(self.cost.commit_ns)
+            yield from self._work(COMMIT_NS)
             self.engine.abort_prepared(txid)
             self.aborts += 1
             request.reply(("ok",))
@@ -650,15 +638,13 @@ class DataNode(ClusterNode):
     def _handle_ddl(self, request: Request) -> None:
         def run():
             _kind, action, table, payload, ddl_ts = request.body
-            yield from self._work(self.cost.write_ns)
+            yield from self._work(WRITE_NS)
             if action == "create_table":
                 self.engine.create_table(payload, ddl_ts=ddl_ts)
             elif action == "drop_table":
                 self.engine.drop_table(table, ddl_ts=ddl_ts)
             elif action == "create_index":
                 self.engine.create_index(table, payload, ddl_ts=ddl_ts)
-            elif action == "drop_index":
-                self.engine.drop_index(table, payload, ddl_ts=ddl_ts)
             request.reply(("ok",))
         self._spawn(run(), "ddl")
 
@@ -668,7 +654,7 @@ class DataNode(ClusterNode):
     def _handle_read_replica(self, request: Request) -> None:
         def run():
             _kind, read_ts, table, key = request.body
-            yield from self._work(self.cost.point_read_ns)
+            yield from self._work(POINT_READ_NS)
             yield from self.store.wait_frontier(read_ts)
             row = yield from self.store.read_waiting(table, key, Snapshot(read_ts))
             request.reply((row, read_ts))
@@ -683,16 +669,16 @@ class DataNode(ClusterNode):
             except Exception as exc:
                 request.reply(("error", exc))
                 return
-            yield from self._work(self.cost.point_read_ns
-                                  + self.cost.scan_row_ns * len(rows))
+            yield from self._work(POINT_READ_NS
+                                  + SCAN_ROW_NS * len(rows))
             request.reply((rows, read_ts))
         self._spawn(run(), "scan_replica")
 
     def _handle_read_replica_batch(self, request: Request) -> None:
         def run():
             _kind, read_ts, table, keys = request.body
-            yield from self._work(self.cost.point_read_ns
-                                  + self.cost.scan_row_ns * len(keys))
+            yield from self._work(POINT_READ_NS
+                                  + SCAN_ROW_NS * len(keys))
             yield from self.store.wait_frontier(read_ts)
             snapshot = Snapshot(read_ts)
             rows = []
@@ -711,8 +697,8 @@ class DataNode(ClusterNode):
             for value in values:
                 rows.extend(self.store.lookup_index(table, column, value,
                                                     snapshot))
-            yield from self._work(self.cost.point_read_ns
-                                  + self.cost.scan_row_ns * max(len(rows),
+            yield from self._work(POINT_READ_NS
+                                  + SCAN_ROW_NS * max(len(rows),
                                                                 len(values)))
             request.reply((rows, read_ts))
         self._spawn(run(), "lookup_replica_batch")
@@ -722,8 +708,8 @@ class DataNode(ClusterNode):
             _kind, read_ts, table, column, value = request.body
             yield from self.store.wait_frontier(read_ts)
             rows = self.store.lookup_index(table, column, value, Snapshot(read_ts))
-            yield from self._work(self.cost.point_read_ns
-                                  + self.cost.scan_row_ns * len(rows))
+            yield from self._work(POINT_READ_NS
+                                  + SCAN_ROW_NS * len(rows))
             request.reply((rows, read_ts))
         self._spawn(run(), "lookup_replica")
 

@@ -45,9 +45,6 @@ class Topology:
         return (self.intra_bandwidth_bps if region_a == region_b
                 else self.inter_bandwidth_bps)
 
-    def region_pairs(self) -> typing.Iterator[tuple[str, str]]:
-        return itertools.combinations(self.regions, 2)
-
 
 def one_region(servers: int = 3) -> Topology:
     """The paper's One-Region cluster: ``servers`` machines in one rack on

@@ -28,7 +28,7 @@ import sys
 
 from repro.explore.engine import ExploreConfig, ExploreEngine
 from repro.explore.generator import GenParams
-from repro.explore.shrink import artifact_json, replay_artifact
+from repro.explore.shrink import replay_artifact
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -52,7 +52,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             artifact_path = os.path.join(args.out,
                                          f"reproducer-{digest}.json")
             with open(artifact_path, "w", encoding="utf-8") as handle:
-                handle.write(artifact_json(engine.artifact))
+                json.dump(engine.artifact, handle, sort_keys=True, indent=2)
             summary["artifact"] = artifact_path
             print(f"reproducer written to {artifact_path} — replay with: "
                   f"python -m repro.explore replay {artifact_path}")

@@ -51,20 +51,6 @@ class TrialResult:
     history_digest: str = ""
     violation_digest: str = ""
 
-    def summary(self) -> dict:
-        return {
-            "spec_digest": self.spec.digest(),
-            "ok": self.ok,
-            "violations": self.violations,
-            "violation_digest": self.violation_digest,
-            "signature_size": len(self.signature),
-            "committed": self.committed,
-            "aborted": self.aborted,
-            "failovers": self.failovers,
-            "chaos_events": self.chaos_events,
-            "audit_status": self.audit_status,
-        }
-
 
 def violation_digest(violations: list[dict]) -> str:
     """Canonical hash of a violation list (sorted-key JSON, order-free)."""

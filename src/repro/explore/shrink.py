@@ -22,7 +22,6 @@ re-runs the spec and verifies the digest matches bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 from repro.explore.runner import TrialResult, run_trial
@@ -134,10 +133,6 @@ def make_artifact(shrunk: ShrinkResult,
             "steps": shrunk.steps,
         },
     }
-
-
-def artifact_json(artifact: dict) -> str:
-    return json.dumps(artifact, sort_keys=True, indent=2)
 
 
 def replay_artifact(artifact: dict) -> tuple[bool, TrialResult]:

@@ -8,8 +8,7 @@ this package is the gate that keeps it that way. It ships:
   and SIM112 (:mod:`repro.lint.visitors`), four interprocedural project rules
   SIM107–SIM110 (:mod:`repro.lint.interproc` — lock-order cycles,
   mutate-after-send aliasing, yield-while-locked, shared module state),
-  per-line pragma suppressions and a findings baseline
-  (:mod:`repro.lint.pragmas`), and text/JSON reporters
+  per-line pragma suppressions (:mod:`repro.lint.pragmas`), and text/JSON reporters
   (:mod:`repro.lint.reporters`);
 - a dynamic cross-check (:mod:`repro.lint.determinism`) that replays a
   traced smoke simulation under distinct ``PYTHONHASHSEED`` values and
@@ -31,7 +30,7 @@ Suppress a deliberate finding with a justified line pragma::
     started = time.time()  # host-side progress timer  # simlint: ignore[SIM101]
 """
 
-from repro.lint.pragmas import Baseline, Suppressions, parse_pragmas
+from repro.lint.pragmas import Suppressions, parse_pragmas
 from repro.lint.rules import (
     REGISTRY,
     Finding,
@@ -47,7 +46,6 @@ from repro.lint.rules import (
 from repro.lint.reporters import render_json, render_text
 
 __all__ = [
-    "Baseline",
     "Finding",
     "Module",
     "Project",

@@ -3,8 +3,7 @@
 Modes:
 
 - **Static** (default): lint the given paths (default ``src``) with every
-  registered rule, honouring pragmas and an optional baseline. Exit 1 on
-  any non-grandfathered finding.
+  registered rule, honouring pragmas. Exit 1 on any finding.
 - **Dynamic** (``--determinism``): run the hash-seed perturbation harness
   (:mod:`repro.lint.determinism`). Exit 1 when trace digests diverge.
 - **simsan** (``san`` subcommand): the combined hazard gate — static
@@ -21,7 +20,6 @@ import argparse
 import os
 import sys
 
-from repro.lint.pragmas import Baseline
 from repro.lint.rules import (
     REGISTRY,
     default_rules,
@@ -50,11 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: all)")
     parser.add_argument("--ignore", metavar="CODES", default="",
                         help="comma-separated rule codes to skip")
-    parser.add_argument("--baseline", metavar="PATH",
-                        help="JSON baseline of grandfathered findings")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite --baseline with the current findings "
-                             "and exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the registered rules and exit")
     parser.add_argument("--determinism", action="store_true",
@@ -125,29 +118,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     findings = lint_paths(paths, rules=rules)
     files_checked = sum(1 for _ in iter_python_files(paths))
-
-    baselined = 0
-    if args.write_baseline:
-        if not args.baseline:
-            print("error: --write-baseline requires --baseline PATH",
-                  file=sys.stderr)
-            return EXIT_ERROR
-        count = Baseline.write(args.baseline, findings)
-        print(f"wrote {count} baseline entr{'y' if count == 1 else 'ies'} "
-              f"to {args.baseline}")
-        return EXIT_CLEAN
-    if args.baseline and os.path.exists(args.baseline):
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return EXIT_ERROR
-        findings, grandfathered = baseline.split(findings)
-        baselined = len(grandfathered)
-
     renderer = render_json if args.format == "json" else render_text
-    print(renderer(findings, files_checked, baselined))
+    print(renderer(findings, files_checked))
     return EXIT_FINDINGS if findings else EXIT_CLEAN
 
 

@@ -206,10 +206,6 @@ class FunctionRecord:
     is_process: bool            #: a sim process: yields or is named ``g_*``
 
     @property
-    def display(self) -> str:
-        return self.qname.replace(":", ":", 1)
-
-    @property
     def short(self) -> str:
         return self.qname.split(":", 1)[1]
 

@@ -1,29 +1,19 @@
-"""Per-line pragma suppressions and the findings baseline.
+"""Per-line pragma suppressions.
 
-Pragmas
-    A finding is suppressed by a comment on its own line::
+A finding is suppressed by a comment on its own line::
 
-        for key in bucket:  # simlint: ignore[SIM103]
-        started = time.time()  # simlint: ignore[SIM101,SIM105]
-        anything_goes()  # simlint: ignore
+    for key in bucket:  # simlint: ignore[SIM103]
+    started = time.time()  # simlint: ignore[SIM101,SIM105]
+    anything_goes()  # simlint: ignore
 
-    The bare form suppresses every rule on that line; the bracketed form
-    only the listed codes. ``# simlint: skip-file`` anywhere in the file
-    suppresses the whole file (use sparingly — prefer line pragmas).
-
-Baseline
-    A JSON file of grandfathered findings. Matching is by
-    :meth:`~repro.lint.rules.Finding.fingerprint` — ``(rule, path,
-    message)`` — so entries survive unrelated edits that shift line
-    numbers. ``python -m repro.lint --write-baseline`` regenerates it;
-    an empty or absent baseline means every finding fails the run.
+The bare form suppresses every rule on that line; the bracketed form only
+the listed codes. ``# simlint: skip-file`` anywhere in the file suppresses
+the whole file (use sparingly — prefer line pragmas).
 """
 
 from __future__ import annotations
 
-import json
 import re
-import typing
 from dataclasses import dataclass, field
 
 #: ``# simlint: ignore`` or ``# simlint: ignore[SIM101, SIM103]``
@@ -66,58 +56,3 @@ def parse_pragmas(source: str) -> Suppressions:
                 suppressions.lines[lineno] = set()  # bare form: all rules
     return suppressions
 
-
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-BASELINE_VERSION = 1
-
-
-class Baseline:
-    """Grandfathered findings, keyed by fingerprint."""
-
-    def __init__(self, fingerprints: typing.Iterable[tuple] = ()):
-        self._fingerprints = {tuple(fp) for fp in fingerprints}
-
-    def __len__(self) -> int:
-        return len(self._fingerprints)
-
-    def covers(self, finding) -> bool:
-        return finding.fingerprint() in self._fingerprints
-
-    def split(self, findings: typing.Sequence) -> tuple[list, list]:
-        """Partition into (new, grandfathered) findings."""
-        new, old = [], []
-        for finding in findings:
-            (old if self.covers(finding) else new).append(finding)
-        return new, old
-
-    # -- persistence ----------------------------------------------------
-    @classmethod
-    def load(cls, path: str) -> "Baseline":
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("version") != BASELINE_VERSION:
-            raise ValueError(
-                f"unsupported baseline version {payload.get('version')!r} "
-                f"in {path} (expected {BASELINE_VERSION})")
-        return cls((entry["rule"], entry["path"], entry["message"])
-                   for entry in payload.get("findings", []))
-
-    @staticmethod
-    def write(path: str, findings: typing.Sequence) -> int:
-        """Write ``findings`` as the new baseline; returns the entry count.
-
-        Entries are deduplicated by fingerprint and sorted, so the file
-        diffs cleanly under version control.
-        """
-        fingerprints = sorted({finding.fingerprint() for finding in findings})
-        payload = {
-            "version": BASELINE_VERSION,
-            "findings": [{"rule": rule, "path": fp_path, "message": message}
-                         for rule, fp_path, message in fingerprints],
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return len(fingerprints)

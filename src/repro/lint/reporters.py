@@ -6,8 +6,7 @@ The JSON schema (version 1) is stable for CI consumers::
       "version": 1,
       "findings": [{"rule", "path", "line", "col", "message"}, ...],
       "counts": {"SIM103": 2, ...},
-      "files_checked": 42,
-      "baselined": 0
+      "files_checked": 42
     }
 """
 
@@ -19,8 +18,7 @@ import typing
 REPORT_VERSION = 1
 
 
-def render_text(findings: typing.Sequence, files_checked: int,
-                baselined: int = 0) -> str:
+def render_text(findings: typing.Sequence, files_checked: int) -> str:
     lines = [f"{finding.path}:{finding.line}:{finding.col + 1}: "
              f"{finding.rule} {finding.message}"
              for finding in findings]
@@ -32,20 +30,15 @@ def render_text(findings: typing.Sequence, files_checked: int,
                      f"file(s): {summary}")
     else:
         lines.append(f"clean: 0 findings in {files_checked} file(s)")
-    if baselined:
-        lines.append(f"({baselined} grandfathered finding(s) suppressed "
-                     f"by baseline)")
     return "\n".join(lines)
 
 
-def render_json(findings: typing.Sequence, files_checked: int,
-                baselined: int = 0) -> str:
+def render_json(findings: typing.Sequence, files_checked: int) -> str:
     payload = {
         "version": REPORT_VERSION,
         "findings": [finding.to_dict() for finding in findings],
         "counts": _counts(findings),
         "files_checked": files_checked,
-        "baselined": baselined,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 

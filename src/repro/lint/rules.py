@@ -7,8 +7,8 @@ extensions (in-repo tooling) can append to.
 
 The engine (:func:`lint_source` / :func:`lint_paths`) parses each file once,
 builds a shared :class:`Module` context, runs every active rule, then drops
-findings suppressed by a ``# simlint: ignore[...]`` pragma or a baseline
-entry (see :mod:`repro.lint.pragmas`).
+findings suppressed by a ``# simlint: ignore[...]`` pragma (see
+:mod:`repro.lint.pragmas`).
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ class Finding:
     @property
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.rule)
-
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Location-stable identity used by baselines: line numbers drift
-        as files are edited, so the baseline matches on (rule, path,
-        message) instead."""
-        return (self.rule, self.path.replace(os.sep, "/"), self.message)
 
     def to_dict(self) -> dict:
         return {"rule": self.rule, "path": self.path.replace(os.sep, "/"),
@@ -124,24 +118,15 @@ class Project:
     modules: list[Module]
     cache: dict = field(default_factory=dict)
 
-    def module_by_name(self, name: str) -> Module | None:
-        for module in self.modules:
-            if module.name == name:
-                return module
-        return None
-
 
 class ProjectRule(Rule):
     """A rule that analyses the whole project at once.
 
-    Per-module :meth:`check` is a no-op; the engine calls
+    The engine never calls its per-module :meth:`check`; it calls
     :meth:`check_project` exactly once per run with every parsed module.
-    Findings still carry a (path, line) location, so per-line pragmas and
-    baselines apply unchanged.
+    Findings still carry a (path, line) location, so per-line pragmas
+    apply unchanged.
     """
-
-    def check(self, module: Module) -> typing.Iterator[Finding]:
-        return iter(())
 
     def check_project(self, project: Project) -> typing.Iterator[Finding]:
         raise NotImplementedError

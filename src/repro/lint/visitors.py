@@ -387,8 +387,8 @@ class MutableDefaultRule(Rule):
 # SIM111 — fault injection outside repro.chaos
 # ----------------------------------------------------------------------
 _FAULT_CALL_ATTRS = frozenset({
-    "set_partition", "inject_delay", "inject_delay_all",
-    "inject_delay_between_regions", "set_endpoint_up",
+    "set_partition", "inject_delay_all", "inject_delay_between_regions",
+    "set_endpoint_up",
 })
 
 _FAULT_STORE_ATTRS = frozenset({"blocked", "extra_delay_ns"})

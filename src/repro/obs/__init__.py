@@ -66,27 +66,20 @@ from repro.obs.report import RunReport
 
 
 def enable_observability(env, metrics: bool = True, trace: bool = True,
-                         max_spans: int | None = 500_000,
-                         timeseries: bool = False,
-                         window_ns: int = DEFAULT_WINDOW_NS,
-                         capacity: int = 256,
-                         monitor_rules=None):
+                         timeseries: bool = False):
     """Attach live metrics/tracing/telemetry to an environment (before
     building the cluster, so construction-time instruments register too).
 
-    ``timeseries=True`` turns on the windowed sampler; ``monitor_rules``
-    (a sequence of :class:`Rule`, e.g. :func:`default_monitor_rules`)
-    additionally attaches an online monitor engine to its window seals.
+    ``timeseries=True`` turns on the windowed sampler; a
+    :class:`MonitorEngine` built on ``env.series`` (the builder attaches
+    :func:`default_monitor_rules`) evaluates rules at its window seals.
     """
     if metrics:
         env.metrics = MetricsRegistry(env)
     if trace:
-        env.tracer = Tracer(env, max_spans=max_spans)
+        env.tracer = Tracer(env)
     if timeseries:
-        env.series = TimeSeriesStore(env, window_ns=window_ns,
-                                     capacity=capacity)
-        if monitor_rules:
-            env.monitor = MonitorEngine(env, env.series, monitor_rules)
+        env.series = TimeSeriesStore(env)
     # Keep the kernel's single-load instrumentation guards in sync
     # (see Environment.__init__): hot paths read these instead of
     # ``env.metrics.enabled`` / ``env.tracer.enabled``.

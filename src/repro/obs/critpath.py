@@ -268,11 +268,3 @@ class CriticalPathReport:
 
     def render(self) -> str:
         return self.table().render()
-
-    def to_dict(self) -> dict:
-        return {
-            "transactions": len(self.paths),
-            "mean_e2e_ns": self.mean_e2e_ns(),
-            "max_attribution_error_ns": self.max_attribution_error_ns(),
-            "segments": self.aggregate(),
-        }

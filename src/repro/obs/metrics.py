@@ -2,15 +2,15 @@
 
 All instruments are *sim-time-native*: they never consult wall clocks and
 never schedule simulation events, so enabling metrics cannot perturb a
-deterministic run. Timestamps (gauge update times, window boundaries) come
-from the owning :class:`~repro.sim.core.Environment`'s ``now`` when a
-registry is bound to one.
+deterministic run. Gauge update times come from the owning
+:class:`~repro.sim.core.Environment`'s ``now`` when a registry is bound to
+one.
 
 Two registries exist:
 
 - :class:`MetricsRegistry` — the real thing: instruments are created on
   first use, cached by ``(kind, name, labels)``, and appear in
-  :meth:`~MetricsRegistry.snapshot` / windowed snapshots.
+  :meth:`~MetricsRegistry.snapshot`.
 - :class:`NullRegistry` — the default on every ``Environment``: every
   lookup returns a shared no-op instrument, so instrumented hot paths cost
   one attribute check (``registry.enabled``) when observability is off.
@@ -149,8 +149,6 @@ class MetricsRegistry:
     def __init__(self, env=None):
         self.env = env
         self._instruments: dict[tuple, typing.Any] = {}
-        self._window_started_at = self._now()
-        self._window_base: dict[tuple, tuple] = {}
 
     def _now(self) -> int:
         return self.env.now if self.env is not None else 0
@@ -207,43 +205,6 @@ class MetricsRegistry:
             rows.append(row)
         return rows
 
-    def begin_window(self) -> None:
-        """Mark the start of a reporting window (e.g. after warmup)."""
-        self._window_started_at = self._now()
-        self._window_base = {}
-        for key, instrument in self._instruments.items():
-            if key[0] == "counter":
-                self._window_base[key] = (instrument.value,)
-            elif key[0] == "hist":
-                self._window_base[key] = (instrument.count, instrument.sum)
-
-    def window_snapshot(self) -> dict:
-        """Counter/histogram deltas since :meth:`begin_window`, plus rates.
-
-        Instruments created after the window opened count from zero.
-        """
-        now = self._now()
-        window_ns = now - self._window_started_at
-        rows = []
-        for (kind, name, labels), instrument in sorted(
-                self._instruments.items(), key=lambda item: item[0][:2]):
-            if kind == "gauge":
-                continue
-            base = self._window_base.get((kind, name, labels))
-            row: dict[str, typing.Any] = {
-                "name": name, "type": kind, "labels": dict(labels)}
-            if kind == "counter":
-                delta = instrument.value - (base[0] if base else 0)
-                row["delta"] = delta
-                row["per_second"] = (delta / (window_ns / 1e9)
-                                     if window_ns > 0 else 0.0)
-            else:
-                base_count, base_sum = base if base else (0, 0)
-                row["delta_count"] = instrument.count - base_count
-                row["delta_sum"] = instrument.sum - base_sum
-            rows.append(row)
-        return {"window_ns": window_ns, "instruments": rows}
-
 
 class _NullInstrument:
     """Shared no-op stand-in for every instrument kind."""
@@ -257,14 +218,8 @@ class _NullInstrument:
     def inc(self, amount: int = 1) -> None:
         pass
 
-    def set(self, value, now: int = 0) -> None:
-        pass
-
     def record(self, value) -> None:
         pass
-
-    def percentile(self, pct: float) -> float:
-        return 0.0
 
 
 _NULL_INSTRUMENT = _NullInstrument()
@@ -282,9 +237,6 @@ class NullRegistry:
     def counter(self, name: str, **labels) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def gauge(self, name: str, **labels) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
     def histogram(self, name: str, buckets=None, **labels) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
@@ -293,12 +245,6 @@ class NullRegistry:
 
     def snapshot(self) -> list:
         return []
-
-    def begin_window(self) -> None:
-        pass
-
-    def window_snapshot(self) -> dict:
-        return {"window_ns": 0, "instruments": []}
 
 
 #: Shared default registry: one instance is enough, it holds no state.

@@ -299,17 +299,6 @@ class NullMonitor:
     alerts: list = []
     windows_evaluated = 0
 
-    def alerts_with(self, rule: str | None = None,
-                    severity: str | None = None) -> list:
-        return []
-
-    def digest(self) -> str:
-        return alerts_digest(())
-
-    def snapshot(self) -> dict:
-        return {"rules": [], "windows_evaluated": 0, "alerts": [],
-                "alerts_digest": self.digest()}
-
 
 #: Shared default monitor.
 NULL_MONITOR = NullMonitor()

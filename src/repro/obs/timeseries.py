@@ -149,9 +149,6 @@ class TimeSeriesStore:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def window_index(self, at_ns: int) -> int:
-        return at_ns // self.window_ns
-
     def window_bounds(self, index: int) -> tuple[int, int]:
         return index * self.window_ns, (index + 1) * self.window_ns
 
@@ -169,10 +166,6 @@ class TimeSeriesStore:
     def counter(self, name: str, amount=1, **labels) -> None:
         """Add to a counter series in the current window."""
         self.record_at(self.env.now, name, amount, COUNTER, labels)
-
-    def mark(self, name: str, **labels) -> None:
-        """Record a discrete event (e.g. a failover phase transition)."""
-        self.record_at(self.env.now, name, 1, COUNTER, labels)
 
     def record_at(self, at_ns: int, name: str, value, kind: str,
                   labels: dict) -> None:
@@ -240,38 +233,6 @@ class NullTimeSeries:
     window_ns = DEFAULT_WINDOW_NS
     frontier = 0
     dropped = 0
-
-    def gauge(self, name: str, value, **labels) -> None:
-        pass
-
-    def counter(self, name: str, amount=1, **labels) -> None:
-        pass
-
-    def mark(self, name: str, **labels) -> None:
-        pass
-
-    def record_at(self, at_ns: int, name: str, value, kind: str,
-                  labels: dict) -> None:
-        pass
-
-    def catch_up(self) -> None:
-        pass
-
-    def add_listener(self, listener) -> None:
-        pass
-
-    def series(self, name: str, **labels) -> None:
-        return None
-
-    def series_named(self, name: str) -> list:
-        return []
-
-    def all_series(self) -> list:
-        return []
-
-    def snapshot(self) -> dict:
-        return {"window_ns": self.window_ns, "capacity": 0, "frontier": 0,
-                "dropped": 0, "series": []}
 
 
 #: Shared default store (stateless, so one instance serves everyone).

@@ -223,12 +223,6 @@ class NullTracer:
     def duration_by_category(self) -> dict:
         return {}
 
-    def spans_in(self, cat: str, name: str | None = None) -> list:
-        return []
-
-    def digest(self) -> str:
-        return trace_digest(())
-
 
 #: Shared default tracer.
 NULL_TRACER = NullTracer()

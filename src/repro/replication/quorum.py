@@ -7,7 +7,7 @@ GlobalDB's headline configuration is fully asynchronous. Policies:
 
 - ``async_()`` — commit immediately; replicas catch up later.
 - ``quorum(k)`` — wait for ``k`` replica acks, any location.
-- ``same_city_quorum(k)`` — wait for ``k`` acks from same-region replicas
+- ``kind="same_city"`` — wait for ``k`` acks from same-region replicas
   (survives a node loss, not a regional disaster).
 - ``remote_quorum(k)`` — wait for ``k`` acks including at least one from a
   different region (survives a regional disaster; the slow baseline in
@@ -37,10 +37,6 @@ class ReplicationPolicy:
     @classmethod
     def quorum(cls, count: int = 1) -> "ReplicationPolicy":
         return cls(kind="quorum", count=count)
-
-    @classmethod
-    def same_city_quorum(cls, count: int = 1) -> "ReplicationPolicy":
-        return cls(kind="same_city", count=count)
 
     @classmethod
     def remote_quorum(cls, count: int = 1) -> "ReplicationPolicy":
@@ -135,11 +131,6 @@ class AckTracker:
                       if self.replica_regions[name] != self.primary_region]
             return len(acked_names) >= policy.count and len(remote) >= 1
         raise ValueError(f"unknown policy kind {policy.kind!r}")
-
-    def min_acked_lsn(self) -> int:
-        if not self.acked:
-            return 0
-        return min(self.acked.values())
 
     def min_applied_lsn(self) -> int:
         """Lowest applied LSN across replicas — the WAL truncation floor."""

@@ -183,9 +183,6 @@ class ReplicaStore(CommitHoldback):
         elif record.action == "create_index":
             self.table(record.table).create_index(record.payload)
             self.catalog.record_ddl(record.table, record.commit_ts)
-        elif record.action == "drop_index":
-            self.table(record.table).drop_index(record.payload)
-            self.catalog.record_ddl(record.table, record.commit_ts)
         else:
             raise StorageError(f"unknown DDL action {record.action!r}")
         self._note_ts(record.commit_ts)

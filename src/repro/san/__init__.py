@@ -86,10 +86,6 @@ class Sanitizer:
             self._scope_refs.append(table)
         return scope
 
-    def name_scope(self, table, name: str) -> None:
-        """Give a LockTable a stable display name (e.g. its DN's name)."""
-        self._scope_names[self._scope(table)] = name
-
     def on_lock_granted(self, table, txid: int, lock_key: tuple) -> None:
         self.waitfor.on_granted(self._scope(table), lock_key, txid)
 

@@ -15,7 +15,7 @@ simulated *true* time. The public surface is:
 
 from repro.sim.core import Environment, Process
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
-from repro.sim.units import MICROSECOND, MILLISECOND, SECOND, ms, ns_to_seconds, seconds, us
+from repro.sim.units import MICROSECOND, MILLISECOND, SECOND, ms, seconds, us
 
 __all__ = [
     "Environment",
@@ -28,7 +28,6 @@ __all__ = [
     "ms",
     "us",
     "seconds",
-    "ns_to_seconds",
     "MICROSECOND",
     "MILLISECOND",
     "SECOND",

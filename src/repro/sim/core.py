@@ -61,7 +61,7 @@ Other hot-path notes:
 - Nothing is recycled: queue entries, messages and timers are allocated
   fresh and left to reference counting, so no handle can come to name
   somebody else's work.
-- The ``run`` loops inline the dispatch (no per-event ``step()`` call).
+- The ``run`` loops inline the dispatch (no per-event call).
 - ``metrics_on`` / ``trace_on`` / ``series_on`` cache the observability
   toggles, so a disabled hook site costs one attribute test.
 """
@@ -418,37 +418,6 @@ class Environment:
                 or self._cursor_normal < len(self._lane_normal)):
             return self.now
         return self._times[0] if self._times else None
-
-    def step(self) -> None:
-        """Process exactly one event."""
-        while True:
-            lane = self._lane_urgent
-            index = self._cursor_urgent
-            if index < len(lane):
-                self._cursor_urgent = index + 1
-                entry = lane[index]
-                break
-            lane = self._lane_normal
-            index = self._cursor_normal
-            if index < len(lane):
-                self._cursor_normal = index + 1
-                entry = lane[index]
-                break
-            times = self._times
-            if not times:
-                raise SimulationError("cannot step an empty event queue")
-            self._advance(heappop(times))
-        if entry.__class__ is _Call:
-            entry.fn(entry.arg)
-            return
-        callbacks = entry.callbacks
-        entry.callbacks = None
-        for callback in callbacks:
-            callback(entry)
-        if entry._ok is False and not entry.defused:
-            # A failed event nobody was waiting on: surface it rather than
-            # silently dropping the error.
-            raise entry._exception  # type: ignore[misc]
 
     def run(self, until: int | Event | None = None) -> typing.Any:
         """Run the simulation.

@@ -106,10 +106,6 @@ class Event:
             raise SimulationError(f"{self!r} has already been processed")
         self.callbacks.append(callback)
 
-    def __repr__(self) -> str:
-        state = "processed" if self.processed else ("triggered" if self.triggered else "pending")
-        return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
 
 class Timeout(Event):
     """An event that fires ``delay`` nanoseconds after creation."""
@@ -140,9 +136,6 @@ class Timeout(Event):
             else:
                 bucket.append(self)
 
-    def __repr__(self) -> str:
-        return f"<Timeout delay={self.delay}ns>"
-
 
 class Interrupt(Exception):
     """Thrown into a process when :meth:`~repro.sim.core.Process.interrupt` is
@@ -161,19 +154,11 @@ class ConditionValue:
     def __init__(self, events: list[Event]):
         self.events = events
 
-    def __getitem__(self, event: Event) -> typing.Any:
-        if event not in self.events:
-            raise KeyError(event)
-        return event.value
-
     def __contains__(self, event: Event) -> bool:
         return event in self.events
 
     def todict(self) -> dict[Event, typing.Any]:
         return {event: event.value for event in self.events}
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
 
 
 class Condition(Event):

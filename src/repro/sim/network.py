@@ -191,25 +191,10 @@ class Network:
             self._links[key] = existing
         return existing
 
-    def inject_delay(self, src: str, dst: str, extra_ns: int,
-                     bidirectional: bool = True) -> None:
-        """tc-style extra one-way delay injection (Figs. 6b-6d)."""
-        self.link(src, dst).extra_delay_ns = extra_ns
-        if bidirectional:
-            self.link(dst, src).extra_delay_ns = extra_ns
-
-    def inject_delay_all(self, extra_ns: int) -> None:
-        """Inject delay on every link between distinct endpoints."""
-        names = list(self._endpoints)
-        for src in names:
-            for dst in names:
-                if src != dst:
-                    self.link(src, dst).extra_delay_ns = extra_ns
-
     def inject_delay_between_regions(self, extra_ns: int) -> None:
-        """tc-style delay between machines only: links whose endpoints are
-        in different regions (= different servers). Same-server traffic is
-        unaffected, as in the paper's Fig. 6b-6d setup."""
+        """tc-style extra one-way delay between machines only (Figs.
+        6b-6d): links whose endpoints are in different regions (= different
+        servers). Same-server traffic is unaffected, as in the paper."""
         names = list(self._endpoints)
         for src in names:
             for dst in names:

@@ -32,20 +32,3 @@ class RandomStreams:
         stream = random.Random(int.from_bytes(digest[:8], "big"))
         self._streams[name] = stream
         return stream
-
-    # ------------------------------------------------------------------
-    # Enumeration — always sorted by name, never dict order. Stream
-    # *seeding* is order-independent (each seed hashes the name), but the
-    # dict's insertion order tracks first-use order, which code revisions
-    # reshuffle; anything that walks the streams (state dumps, digests)
-    # must not inherit it.
-    # ------------------------------------------------------------------
-    def names(self) -> list[str]:
-        """Names of every stream created so far, sorted."""
-        return sorted(self._streams)
-
-    def snapshot(self) -> dict[str, tuple]:
-        """Name -> ``Random.getstate()`` for every stream, in sorted name
-        order, so two equivalent runs serialize identical dumps."""
-        return {name: self._streams[name].getstate()
-                for name in sorted(self._streams)}

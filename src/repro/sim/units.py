@@ -31,11 +31,6 @@ def seconds(value: float) -> int:
     return round(value * SECOND)
 
 
-def ns_to_seconds(value: int) -> float:
-    """Convert integer nanoseconds to float seconds (for reporting only)."""
-    return value / SECOND
-
-
 def ns_to_ms(value: int) -> float:
     """Convert integer nanoseconds to float milliseconds (for reporting only)."""
     return value / MILLISECOND

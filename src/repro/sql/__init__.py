@@ -3,7 +3,7 @@
 Supports the statement shapes the paper's workloads and examples need:
 
 - ``CREATE TABLE t (col TYPE, ...) [PRIMARY KEY (a, b)] [DISTRIBUTE BY
-  HASH(col) | REPLICATION]``, ``DROP TABLE``, ``CREATE INDEX ON t (col)``
+  HASH(col) | REPLICATION]``, ``CREATE INDEX ON t (col)``
 - ``INSERT INTO t (cols...) VALUES (...), (...)``
 - ``SELECT cols | * | aggregates FROM t [WHERE expr] [ORDER BY col [DESC]]
   [LIMIT n]``

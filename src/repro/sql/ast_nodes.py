@@ -95,11 +95,6 @@ class CreateTable:
 
 
 @dataclass(frozen=True)
-class DropTable:
-    table: str
-
-
-@dataclass(frozen=True)
 class CreateIndex:
     table: str
     column: str

@@ -34,7 +34,6 @@ from repro.sql.ast_nodes import (
     CreateIndex,
     CreateTable,
     Delete,
-    DropTable,
     Insert,
     Literal,
     Param,
@@ -177,25 +176,27 @@ def columns_in(expr) -> set[str]:
 
 
 def equality_bindings(where, params) -> dict[str, typing.Any]:
-    """Extract ``col = constant`` conjuncts from a WHERE clause."""
+    """Extract ``col = constant`` conjuncts from a WHERE clause; the first
+    (leftmost) conjunct on a column wins. An explicit stack, not a
+    recursive closure: a closure that calls itself is a reference cycle,
+    which would leave one garbage cycle per statement for the collector."""
     bindings: dict[str, typing.Any] = {}
-
-    def walk(expr) -> None:
-        if isinstance(expr, BinaryOp):
-            if expr.op == "AND":
-                walk(expr.left)
-                walk(expr.right)
-                return
-            if expr.op == "=":
-                left, right = expr.left, expr.right
-                if isinstance(right, ColumnRef) and not isinstance(left, ColumnRef):
-                    left, right = right, left
-                if (isinstance(left, ColumnRef)
-                        and isinstance(right, (Literal, Param))
-                        and left.name not in bindings):
-                    bindings[left.name] = evaluate(right, {}, params)
-
-    walk(where)
+    stack = [where]
+    while stack:
+        expr = stack.pop()
+        if not isinstance(expr, BinaryOp):
+            continue
+        if expr.op == "AND":
+            stack.append(expr.right)
+            stack.append(expr.left)  # popped first: left to right
+        elif expr.op == "=":
+            left, right = expr.left, expr.right
+            if isinstance(right, ColumnRef) and not isinstance(left, ColumnRef):
+                left, right = right, left
+            if (isinstance(left, ColumnRef)
+                    and isinstance(right, (Literal, Param))
+                    and left.name not in bindings):
+                bindings[left.name] = evaluate(right, {}, params)
     return bindings
 
 
@@ -227,9 +228,6 @@ class SqlExecutor:
             return (yield from self._delete(statement, params, ctx))
         if isinstance(statement, CreateTable):
             return (yield from self._create_table(statement))
-        if isinstance(statement, DropTable):
-            ddl_ts = yield from self.cn.g_drop_table(statement.table)
-            return {"status": "dropped", "ddl_ts": ddl_ts}
         if isinstance(statement, CreateIndex):
             ddl_ts = yield from self.cn.g_create_index(statement.table,
                                                        statement.column)

@@ -9,7 +9,7 @@ from repro.errors import SqlError
 
 KEYWORDS = {
     "SELECT", "FROM", "WHERE", "INSERT", "INTO", "VALUES", "UPDATE", "SET",
-    "DELETE", "CREATE", "DROP", "TABLE", "INDEX", "ON", "PRIMARY", "KEY",
+    "DELETE", "CREATE", "TABLE", "INDEX", "ON", "PRIMARY", "KEY",
     "DISTRIBUTE", "BY", "HASH", "REPLICATION", "AND", "OR", "NOT", "ORDER",
     "LIMIT", "ASC", "DESC", "BEGIN", "COMMIT", "ROLLBACK", "NULL", "TRUE",
     "FALSE", "COUNT", "SUM", "AVG", "MIN", "MAX", "AS", "INT", "BIGINT",

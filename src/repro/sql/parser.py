@@ -12,7 +12,6 @@ from repro.sql.ast_nodes import (
     CreateIndex,
     CreateTable,
     Delete,
-    DropTable,
     Insert,
     Literal,
     Param,
@@ -82,7 +81,6 @@ class _Parser:
             "UPDATE": self._update,
             "DELETE": self._delete,
             "CREATE": self._create,
-            "DROP": self._drop,
             "BEGIN": lambda: (self.advance(), BeginTxn())[1],
             "COMMIT": lambda: (self.advance(), CommitTxn())[1],
             "ROLLBACK": lambda: (self.advance(), RollbackTxn())[1],
@@ -240,11 +238,6 @@ class _Parser:
         return CreateTable(table=table, columns=tuple(columns),
                            primary_key=primary_key, distribution=distribution,
                            distribution_column=distribution_column)
-
-    def _drop(self) -> DropTable:
-        self.expect("kw", "DROP")
-        self.expect("kw", "TABLE")
-        return DropTable(table=self.expect_ident())
 
     def _optional_where(self):
         if self.accept("kw", "WHERE"):

@@ -148,15 +148,6 @@ class StorageEngine(CommitHoldback):
                                     payload=column, commit_ts=ddl_ts))
             self._note_commit_ts(ddl_ts)
 
-    def drop_index(self, table: str, column: str, ddl_ts: int = 0,
-                   log: bool = True) -> None:
-        self.table(table).drop_index(column)
-        self.catalog.record_ddl(table, ddl_ts)
-        if log:
-            self.wal.append(RedoDdl(txid=0, action="drop_index", table=table,
-                                    payload=column, commit_ts=ddl_ts))
-            self._note_commit_ts(ddl_ts)
-
     def table(self, name: str) -> HeapTable:
         heap = self._tables.get(name)
         if heap is None:

@@ -53,9 +53,6 @@ class RowVersion:
     xmin: int
     xmax: int | None = None
 
-    def __repr__(self) -> str:
-        return f"<RowVersion {self.key} xmin={self.xmin} xmax={self.xmax}>"
-
 
 def _created_visible(version: RowVersion, snapshot: Snapshot, clog: CommitLog) -> bool:
     if snapshot.txid is not None and version.xmin == snapshot.txid:
@@ -160,11 +157,6 @@ class HeapTable:
                 keys.add(key)
         self._indexes[column] = index
 
-    def drop_index(self, column: str) -> None:
-        if column not in self._indexes:
-            raise StorageError(f"no index on {self.name}.{column}")
-        del self._indexes[column]
-
     def has_index(self, column: str) -> bool:
         return column in self._indexes
 
@@ -224,14 +216,6 @@ class HeapTable:
         version = _first_visible(versions, snapshot.read_ts, snapshot.txid,
                                  clog._commit_ts)
         return None if version is None else version.data
-
-    def visible_version(self, key: tuple, snapshot: Snapshot,
-                        clog: CommitLog) -> RowVersion | None:
-        versions = self._rows.get(key)
-        if versions is None:
-            return None
-        return _first_visible(versions, snapshot.read_ts, snapshot.txid,
-                              clog._commit_ts)
 
     def scan(self, snapshot: Snapshot, clog: CommitLog,
              predicate: typing.Callable[[dict], bool] | None = None

@@ -123,8 +123,8 @@ class RedoAbortPrepared(RedoRecord):
 
 @dataclass(slots=True)
 class RedoDdl(RedoRecord):
-    """A catalog change. ``action`` is one of 'create_table', 'drop_table',
-    'create_index', 'drop_index'; ``payload`` carries the schema object or
+    """A catalog change. ``action`` is one of 'create_table', 'drop_table'
+    or 'create_index'; ``payload`` carries the schema object or
     index spec; ``commit_ts`` is the DDL timestamp used for ROR fencing."""
 
     action: str = ""

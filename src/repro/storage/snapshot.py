@@ -22,6 +22,3 @@ class Snapshot:
 
     read_ts: int
     txid: int | None = None
-
-    def with_txid(self, txid: int) -> "Snapshot":
-        return Snapshot(self.read_ts, txid)

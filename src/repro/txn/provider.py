@@ -185,16 +185,6 @@ class TimestampProvider:
         self._note_wait(started, name="invocation_wait")
         return stamp.ts, mode
 
-    def begin_no_wait(self) -> tuple[int, TxnMode]:
-        """The single-shard bypass of §III: no invocation wait, no RPC.
-
-        Only valid when the snapshot will be replaced by the target node's
-        last-committed timestamp (single-shard reads); callers must not use
-        this for multi-shard snapshots.
-        """
-        self.stats.note_local_stamp()
-        return self.gclock.timestamp().ts, self.mode
-
     # ------------------------------------------------------------------
     # Commit
     # ------------------------------------------------------------------

@@ -7,10 +7,8 @@ from repro.clocks import (
     ClockSyncDaemon,
     GClockSource,
     GlobalTimeDevice,
-    HybridLogicalClock,
     PhysicalClock,
 )
-from repro.clocks.hlc import HlcTimestamp
 from repro.errors import ClockError
 from repro.sim import Environment, ms, seconds, us
 from repro.sim.rand import RandomStreams
@@ -173,29 +171,3 @@ class TestGClockSource:
         device.fail()
         env.run(until=seconds(30))
         assert not source.healthy
-
-
-class TestHlc:
-    def test_monotonic_under_local_events(self):
-        env = Environment()
-        clock = PhysicalClock(env, "n", RandomStreams(5).stream("c"))
-        hlc = HybridLogicalClock(clock)
-        stamps = []
-        for _ in range(10):
-            stamps.append(hlc.now())
-        assert stamps == sorted(stamps)
-        assert len(set(stamps)) == len(stamps)
-
-    def test_update_advances_past_remote(self):
-        env = Environment()
-        clock = PhysicalClock(env, "n", RandomStreams(6).stream("c"))
-        hlc = HybridLogicalClock(clock)
-        remote = HlcTimestamp(physical=clock.read() + seconds(10), logical=3)
-        merged = hlc.update(remote)
-        assert merged > remote
-        assert hlc.now() > merged
-
-    def test_pack_orders_like_tuples(self):
-        early = HlcTimestamp(100, 5)
-        late = HlcTimestamp(101, 0)
-        assert early.pack() < late.pack()

@@ -261,7 +261,7 @@ class TestDdl:
         session = db.session(region="xian")
         session.create_table("t4", [("k", "int")], primary_key=["k"])
         db.run_for(0.3)
-        other = db.cn_in_region("dongguan")
+        other = next(cn for cn in db.cns if cn.region == "dongguan")
         assert other.catalog.has_table("t4")
 
 
@@ -369,7 +369,7 @@ class TestMigrationLive:
 
         for key in range(3):
             db.env.process(writer(key))
-        migration = db.start_migration_to_gclock()
+        migration = db.env.process(db.migration.to_gclock(), name="migrate")
         db.env.run(until=migration)
         db.run_for(0.1)
         stop["flag"] = True

@@ -1,6 +1,8 @@
-"""The CN's 2PC abort paths: a participant that cannot prepare, and a GTM
-that cannot stamp the commit, both end in ``abort_prepared`` on every
-write shard and never in ``commit_prepared``."""
+"""The CN's abort paths. In 2PC, a participant that cannot prepare and a
+GTM that cannot stamp the commit both end in ``abort_prepared`` on every
+write shard and never in ``commit_prepared``. Before commit, a scan or an
+index lookup that finds a primary down aborts the transaction, so the row
+locks it already holds are released."""
 
 import pytest
 
@@ -101,3 +103,47 @@ def test_gtm_down_at_commit_aborts_every_write_shard(monkeypatch):
     session.update("t", (key_a,), {"v": 7})
     session.update("t", (key_b,), {"v": 7})
     assert session.commit() > 0
+
+
+def open_write_then_fail_other_primary(db):
+    """Lock one row, then fail the primary of another shard: returns
+    ``(session, key_a, key_b, engine_a)``."""
+    session = load_rows(db)
+    session.create_index("t", "v")
+    key_a, key_b = keys_on_two_shards(db)
+    session.begin()
+    session.update("t", (key_a,), {"v": -1})
+    primary_of = session.cn.primary_of_shard
+    engine_a = db.node(primary_of[db.shard_map.shard_for_key(
+        "t", (key_a,))]).engine
+    assert engine_a.locks.locked_count() == 1
+    db.node(primary_of[db.shard_map.shard_for_key("t", (key_b,))]).fail()
+    return session, key_a, key_b, engine_a
+
+
+def assert_aborted_and_unlocked(session, engine_a, key_a, aborts_before):
+    assert not session.in_txn
+    assert session.cn.txns_aborted == aborts_before + 1
+    assert engine_a.locks.locked_count() == 0
+    session.begin()
+    session.update("t", (key_a,), {"v": 7})
+    assert session.commit() > 0
+
+
+def test_scan_with_a_primary_down_aborts_and_releases_locks():
+    db = build_cluster(ClusterConfig.globaldb(one_region()))
+    session, key_a, _key_b, engine_a = open_write_then_fail_other_primary(db)
+    aborts_before = session.cn.txns_aborted
+    with pytest.raises(TransactionAborted):
+        session.scan("t")
+    assert_aborted_and_unlocked(session, engine_a, key_a, aborts_before)
+
+
+def test_lookup_with_its_primary_down_aborts_and_releases_locks():
+    db = build_cluster(ClusterConfig.globaldb(one_region()))
+    session, key_a, key_b, engine_a = open_write_then_fail_other_primary(db)
+    aborts_before = session.cn.txns_aborted
+    with pytest.raises(TransactionAborted):
+        session._run(session.cn.g_lookup(session._ctx, "t", "v", key_b,
+                                         shard_value=key_b))
+    assert_aborted_and_unlocked(session, engine_a, key_a, aborts_before)

@@ -123,7 +123,7 @@ class TestMoneyConservation:
         def chaos():
             yield env.timeout(400_000_000)
             db.replicas[0][0].fail()             # kill a replica
-            migration = db.start_migration_to_gclock()
+            migration = env.process(db.migration.to_gclock(), name="migrate")
             yield migration                      # live mode migration
             yield env.timeout(300_000_000)
             db.replicas[0][0].recover()

@@ -1,4 +1,4 @@
-"""simlint: per-rule fixtures, pragmas, baseline, reporters, CLI, harness.
+"""simlint: per-rule fixtures, pragmas, reporters, CLI, harness.
 
 Every rule gets at least one flagging and one non-flagging fixture; the
 repo itself must lint clean; and re-introducing the PR-1 ``locks.py`` bug
@@ -14,7 +14,6 @@ import textwrap
 import pytest
 
 from repro.lint import (
-    Baseline,
     default_rules,
     lint_paths,
     lint_source,
@@ -341,7 +340,7 @@ class TestHotPathDispatch:
 
 
 # ----------------------------------------------------------------------
-# Pragmas, baseline, reporters
+# Pragmas, reporters
 # ----------------------------------------------------------------------
 class TestSuppression:
     def test_line_pragma_suppresses_named_rule(self):
@@ -375,27 +374,6 @@ class TestSuppression:
         """)
         assert found == []
 
-    def test_baseline_round_trip(self, tmp_path):
-        source = textwrap.dedent("""
-            import time
-            a = time.time()
-            for x in set([1, 2]):
-                pass
-        """)
-        findings = lint_source(source, path="mod.py")
-        assert {f.rule for f in findings} == {"SIM101", "SIM103"}
-        baseline_path = str(tmp_path / "baseline.json")
-        Baseline.write(baseline_path, findings)
-        baseline = Baseline.load(baseline_path)
-        assert len(baseline) == 2
-        new, grandfathered = baseline.split(lint_source(source, path="mod.py"))
-        assert new == [] and len(grandfathered) == 2
-        # A fresh finding is not absorbed by the baseline.
-        extra = lint_source(source + "b = time.monotonic()\n", path="mod.py")
-        new, grandfathered = baseline.split(extra)
-        assert [f.rule for f in new] == ["SIM101"]
-        assert "time.monotonic" in new[0].message
-
     def test_syntax_error_becomes_sim100(self):
         found = lint_source("def broken(:\n", path="bad.py")
         assert codes(found) == ["SIM100"]
@@ -409,7 +387,6 @@ class TestReporters:
         assert payload["version"] == 1
         assert payload["counts"] == {"SIM101": 1}
         assert payload["files_checked"] == 1
-        assert payload["baselined"] == 0
         (entry,) = payload["findings"]
         assert set(entry) == {"rule", "path", "line", "col", "message"}
         assert entry["rule"] == "SIM101" and entry["line"] == 2

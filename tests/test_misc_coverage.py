@@ -103,17 +103,6 @@ class TestSqlEdges:
         assert [row["k"] for row in rows] == [1, 2]
 
 
-class TestProviderEdges:
-    def test_begin_no_wait_returns_clock_upper_bound(self):
-        db = build_cluster(ClusterConfig.globaldb(one_region()))
-        db.run_for(0.01)
-        cn = db.cns[0]
-        ts, mode = cn.provider.begin_no_wait()
-        _earliest, latest = cn.gclock.bounds()
-        assert ts <= latest
-        assert cn.provider.stats.local_stamps >= 1
-
-
 class TestBenchCli:
     def test_list_command(self, capsys):
         assert bench_main(["list"]) == 0

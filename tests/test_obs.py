@@ -118,29 +118,12 @@ class TestRegistry:
         assert rows["lat"]["count"] == 1
         json.dumps(registry.snapshot())  # must stay serializable
 
-    def test_window_deltas(self):
-        env = FakeEnv()
-        registry = MetricsRegistry(env)
-        counter = registry.counter("msgs")
-        counter.inc(10)
-        env.now = 1_000
-        registry.begin_window()
-        counter.inc(4)
-        registry.counter("late").inc(2)  # created inside the window
-        env.now = 3_000
-        window = registry.window_snapshot()
-        assert window["window_ns"] == 2_000
-        deltas = {row["name"]: row["delta"] for row in window["instruments"]}
-        assert deltas["msgs"] == 4
-        assert deltas["late"] == 2
-
     def test_null_registry_is_inert(self):
         assert not NULL_REGISTRY.enabled
         NULL_REGISTRY.counter("x", node="y").inc()
         NULL_REGISTRY.set_gauge("x", 1)
         NULL_REGISTRY.histogram("x").record(5)
         assert NULL_REGISTRY.snapshot() == []
-        assert NULL_REGISTRY.window_snapshot()["instruments"] == []
 
 
 # ----------------------------------------------------------------------

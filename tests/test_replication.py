@@ -302,7 +302,7 @@ class TestQuorum:
     def test_same_city_quorum_ignores_remote_acks(self):
         env = Environment()
         tracker = AckTracker(env, "east", {"r1": "east", "r2": "west"})
-        event = tracker.wait_for(10, ReplicationPolicy.same_city_quorum(1))
+        event = tracker.wait_for(10, ReplicationPolicy(kind="same_city", count=1))
         tracker.on_ack("r2", 99)  # remote ack: not sufficient
         assert not event.triggered
         tracker.on_ack("r1", 10)

@@ -261,11 +261,14 @@ def test_urgent_priority_runs_first():
 
 
 def test_peek_and_step():
+    """``peek`` names the next tick; running one past it steps over it."""
     env = Environment()
-    env.timeout(30)
+    fired = []
+    env.timeout(30).callbacks.append(lambda _e: fired.append(env.now))
+    env.timeout(50)
     assert env.peek() == 30
-    env.step()
-    assert env.now == 30
+    env.run(until=env.peek() + 1)
+    assert fired == [30] and env.now == 31
+    assert env.peek() == 50
+    env.run()
     assert env.peek() is None
-    with pytest.raises(SimulationError):
-        env.step()

@@ -108,19 +108,11 @@ def test_injected_delay_adds_latency():
     env, net = make_net()
     arrivals = []
     net.set_handler("b", lambda msg: arrivals.append(env.now))
-    net.inject_delay("a", "b", ms(100))
+    net.inject_delay_between_regions(ms(100))
     net.send("a", "b", "slow", size_bytes=10)
     env.run()
     assert arrivals[0] >= ms(125)
     assert net.rtt_ns("a", "b") == 2 * ms(125)
-
-
-def test_inject_delay_all_covers_every_pair():
-    env, net = make_net()
-    net.add_endpoint("c", "north")
-    net.inject_delay_all(ms(7))
-    assert net.link("a", "c").extra_delay_ns == ms(7)
-    assert net.link("c", "b").extra_delay_ns == ms(7)
 
 
 def test_local_delivery_is_instant():

@@ -6,7 +6,7 @@ from repro.errors import SimulationError
 from repro.sim import Environment, ms, seconds, us
 from repro.sim.events import settle
 from repro.sim.resources import Semaphore
-from repro.sim.units import MINUTE, ns_to_ms, ns_to_seconds
+from repro.sim.units import MINUTE, ns_to_ms
 
 
 class TestSemaphore:
@@ -128,7 +128,6 @@ class TestUnits:
         assert ms(1) == 1_000_000
         assert seconds(1) == 1_000_000_000
         assert MINUTE == 60 * seconds(1)
-        assert ns_to_seconds(seconds(2.5)) == pytest.approx(2.5)
         assert ns_to_ms(ms(7.25)) == pytest.approx(7.25)
 
     def test_fractional_values_round(self):

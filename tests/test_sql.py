@@ -1,5 +1,6 @@
 """Tests for the SQL front-end: lexer, parser, and end-to-end execution."""
 
+import gc
 import itertools
 import operator
 
@@ -475,6 +476,35 @@ class TestEndToEnd:
         for i in (2, 3, 4):
             session.execute("SELECT name FROM users WHERE id = ?", (i,))
         assert len(session._statement_cache) == size_after_first
+
+    def test_prepared_statements_leave_no_cyclic_garbage(self, db_session):
+        """Reference counting frees everything a statement allocates: with
+        the collector off, a loop of prepared point reads, updates and
+        predicate scans leaves nothing for ``gc.collect()`` to find."""
+        _db, session = db_session
+        statements = [
+            ("SELECT name FROM users WHERE id = ? AND age > 0", (2,)),
+            ("UPDATE users SET age = age + 1 WHERE id = ?", (3,)),
+            ("SELECT COUNT(*) AS n FROM users WHERE city = ?", ("berlin",)),
+        ]
+        for sql, params in statements:  # warm the statement cache
+            session.execute(sql, params)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(20):
+                for sql, params in statements:
+                    session.execute(sql, params)
+            found = gc.collect()
+            garbage = [type(obj).__name__ for obj in gc.garbage[:10]]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert found == 0, garbage
 
 
 @pytest.fixture()

@@ -138,11 +138,6 @@ class TestHeapInternals:
         with pytest.raises(StorageError):
             heap.create_index("v")
 
-    def test_drop_missing_index_rejected(self):
-        heap = HeapTable("t")
-        with pytest.raises(StorageError):
-            heap.drop_index("v")
-
     def test_index_built_over_existing_rows(self):
         heap = HeapTable("t")
         clog = CommitLog()

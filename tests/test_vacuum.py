@@ -1,7 +1,7 @@
 """MVCC vacuum: version reclamation, freezing, and clog pruning."""
 
 from repro import ClusterConfig, build_cluster, one_region
-from repro.sim import Environment
+from repro.sim import Environment, seconds
 from repro.storage import ColumnDef, Snapshot, StorageEngine, TableSchema
 
 
@@ -132,8 +132,9 @@ class TestVacuumInCluster:
         assert row["v"] == 59
 
     def test_vacuum_disabled_grows_versions(self):
-        db = build_cluster(ClusterConfig.globaldb(one_region(),
-                                                  vacuum_enabled=False))
+        # No vacuum pass falls inside this run: every version stays.
+        db = build_cluster(ClusterConfig.globaldb(
+            one_region(), vacuum_interval_ns=seconds(3600)))
         session = db.session()
         session.create_table("t", [("k", "int"), ("v", "int")],
                              primary_key=["k"])
