@@ -2,72 +2,43 @@
 
 :class:`Environment` owns the event queue and the simulated clock (integer
 nanoseconds of *true* time). :class:`Process` drives a Python generator:
-each ``yield``-ed :class:`~repro.sim.events.Event` suspends the process until
-the event fires, at which point the event's value is sent back into the
-generator (or its exception thrown). :meth:`Environment.serve` drives a
-generator nobody joins the same way without the process: it starts inside
-the caller and schedules nothing when it returns.
+each ``yield``-ed :class:`~repro.sim.events.Event` suspends the process
+until the event fires, and the event's value is sent back into the
+generator (or its exception thrown). Ties at equal timestamps are broken
+by a monotonically increasing sequence number, so two runs with the same
+seeds produce identical histories.
 
-The kernel is deterministic: ties at equal timestamps are broken by a
-monotonically increasing sequence number, so two runs with the same seeds
-produce identical histories.
+The queue is a calendar that keeps a binary heap's ``(when, priority,
+seq)`` order without building the tuples (DESIGN.md §4g):
 
-Scheduler design (``benchmarks/perf`` measures this):
+- *Current-tick lanes*: two FIFO lists, urgent and normal, walked by
+  cursor. Work for ``now`` is a bare append; FIFO order is sequence order
+  because ``_seq`` only grows, and the urgent lane drains first.
+- *Per-timestamp buckets* (``dict[when -> list]``, and a second dict for
+  the rare future urgent entry) hold future work in sequence order.
+- *A min-heap of distinct future timestamps*: each enters once, when its
+  bucket is made. Advancing the clock pops one and swaps its buckets in as
+  the lanes; one whose bucket :meth:`Environment.withdraw` emptied runs as
+  an empty tick. Time only moves forward, so nothing goes stale.
 
-The queue is a three-level calendar structure instead of a single binary
-heap. The invariant it preserves is the heap kernel's total order —
-``(when, priority, seq)`` ascending — without materializing the tuples:
+Every push consumes one sequence number (``events_scheduled``). Three
+kernel calls push less, each order-equivalent to what it saves:
+:meth:`Environment.defer` queues a bare ``fn(arg)`` with no
+:class:`Event` (and :meth:`Environment.withdraw` takes it back),
+:meth:`Environment.serve` runs a handler nobody joins with no
+:class:`Process`, and :meth:`Environment.resolve` dispatches an RPC reply
+in place when its delivery is the last entry of its tick. Nothing is
+recycled, so no handle can come to name somebody else's work.
 
-- **Level 0 — current-tick lanes.** Anything scheduled at ``now`` (the
-  overwhelmingly common case: ``succeed``/``fail``, message handlers,
-  process spawns) is a bare append to one of two FIFO lists, one per
-  priority. Appends cost no tuple, no comparison, no sift. FIFO order
-  *is* sequence order because ``_seq`` increases monotonically, and the
-  urgent lane is always drained before the normal lane resumes, which is
-  exactly what the priority field used to buy.
-- **Level 1 — per-timestamp buckets.** Future work goes into
-  ``dict[when -> list]`` buckets (a rare second dict for future urgent
-  entries). Insertion is a dict probe + append; order within a bucket is
-  again sequence order.
-- **Level 2 — timestamp heap.** A plain int min-heap of *distinct* future
-  timestamps. Each timestamp enters it exactly once (pushes are guarded
-  by bucket creation), so it is a fraction of the size of the old event
-  heap and its comparisons are int-vs-int, not tuple-vs-tuple.
-
-Advancing the clock pops the smallest timestamp and swaps its buckets in
-as the new lanes. Because time only moves forward and same-time work goes
-straight to the lanes, a timestamp can never be scheduled again after its
-tick ran — no stale-entry pruning is needed. A timestamp whose bucket
-:meth:`Environment.withdraw` emptied stays on the heap (and is pushed again
-if reused); ``_advance`` runs a timestamp without a bucket as an empty tick.
-
-Other hot-path notes:
-
-- ``now`` is a plain attribute, not a property — it is read on nearly every
-  instruction of simulation code. Only the kernel writes it.
-- ``_seq`` is a plain int; every push increments it exactly once, so the
-  inlined pushes in ``repro.sim.events`` keep the same total order the
-  un-inlined kernel produced (``events_scheduled`` still reports it).
-- :meth:`Environment.defer` schedules a bare ``fn(arg)`` call without
-  allocating an :class:`Event`, a callbacks list, or a closure — the
-  network's delivery path uses it for every message.
-  :meth:`Environment.withdraw` takes an unfired one back, so a deadline
-  ends with its request.
-- :meth:`Environment.serve` runs a message handler's generator without a
-  :class:`Process`: no urgent-lane kickoff, no completion event. Called as
-  the last action of a normal-lane delivery (its precondition), it is
-  order-equivalent to ``env.process``; a data node serves every request
-  this way, two queue entries fewer each.
-- Nothing is recycled: queue entries, messages and timers are allocated
-  fresh and left to reference counting, so no handle can come to name
-  somebody else's work.
-- The ``run`` loops inline the dispatch (no per-event call).
-- ``metrics_on`` / ``trace_on`` / ``series_on`` cache the observability
-  toggles, so a disabled hook site costs one attribute test.
+:meth:`Environment.run` is one loop with the dispatch inlined, and the
+cyclic collector is parked while it runs. ``now`` is a plain attribute,
+and ``metrics_on`` / ``trace_on`` / ``series_on`` cache the observability
+toggles, so a disabled hook site costs one attribute test.
 """
 
 from __future__ import annotations
 
+import gc
 import typing
 from heapq import heappop, heappush
 
@@ -93,10 +64,8 @@ class _Call:
 
 
 class _StartSignal:
-    """Shared do-nothing "event" delivered to a generator's first resume.
-
-    ``Process._resume`` and ``_Served._resume`` only read ``_ok``/``_value``
-    on the success path, so one immutable instance serves every kickoff."""
+    """The do-nothing "event" every generator's first resume is sent:
+    ``_resume`` reads only ``_ok`` and ``_value`` on the success path."""
 
     __slots__ = ()
     _ok = True
@@ -108,6 +77,22 @@ _START = _StartSignal()
 
 def _withdrawn(_arg) -> None:
     """What a withdrawn entry already in the current tick's lanes runs."""
+
+
+def _collect_as_scheduled() -> None:
+    """The one collection the collector's own threshold schedule would have
+    reached while :meth:`Environment.run` parked it: the oldest generation
+    the run's allocations (``gc.get_count``) would have pushed past its
+    threshold, or none."""
+    threshold0, threshold1, threshold2 = gc.get_threshold()
+    allocated, young, old = gc.get_count()
+    if not threshold0 or allocated <= threshold0:
+        return
+    young += allocated // (threshold0 + 1)
+    generation = 0
+    if young > threshold1:
+        generation = 2 if old + young // (threshold1 + 1) > threshold2 else 1
+    gc.collect(generation)
 
 
 class Process(Event):
@@ -244,9 +229,7 @@ class Environment:
         #: Current simulated true time in nanoseconds. Read-only for
         #: everyone but the kernel.
         self.now = initial_time
-        # Calendar queue (see module docstring): current-tick lanes with
-        # read cursors, per-timestamp future buckets, and a min-heap of
-        # distinct future timestamps.
+        # Calendar queue (see the module docstring).
         self._lane_urgent: list = []
         self._lane_normal: list = []
         self._cursor_urgent = 0
@@ -255,18 +238,14 @@ class Environment:
         self._buckets_urgent: dict[int, list] = {}
         self._times: list[int] = []
         self._seq = 0
-        # Observability handles (see repro.obs). The defaults are shared
-        # no-op singletons, so instrumentation costs one attribute check
-        # when disabled; repro.obs.enable_observability swaps in live ones.
-        # Neither may ever schedule events — that is the determinism
-        # contract tests/test_determinism.py enforces.
+        # Observability handles (see repro.obs): shared no-op singletons
+        # until repro.obs.enable_observability swaps in live ones. None may
+        # ever schedule events (tests/test_determinism.py enforces it).
         self.metrics = NULL_REGISTRY
         self.tracer = NULL_TRACER
         self.series = NULL_TIMESERIES
         self.monitor = NULL_MONITOR
-        #: Cached ``metrics.enabled`` / ``tracer.enabled`` /
-        #: ``series.enabled`` — single-load guards for per-event
-        #: instrumentation.
+        #: Cached ``enabled`` of metrics, tracer and series: hook guards.
         self.metrics_on = False
         self.trace_on = False
         self.series_on = False
@@ -320,6 +299,36 @@ class Environment:
         """
         _Served(generator)._resume(_START)
 
+    def resolve(self, event: Event, ok: bool, value: typing.Any) -> None:
+        """Trigger ``event`` as ``succeed(value)`` (``ok``) or
+        ``fail(value)`` would; but when that push would be the next entry
+        :meth:`run` pops, dispatch the event here instead, exactly as the
+        loop does (outcome, callbacks, an undefused failure raised), and
+        save the push.
+
+        Precondition, as for :meth:`serve`: call it only as the last action
+        of a normal-lane entry (``Network._deliver`` delivering a reply).
+        A push made then is the next entry exactly when the urgent lane is
+        drained and the normal cursor is at the end of its lane, that is,
+        when the running entry was the last of its tick.
+        """
+        if (self._cursor_urgent < len(self._lane_urgent)
+                or self._cursor_normal < len(self._lane_normal)):
+            (event.succeed if ok else event.fail)(value)
+            return
+        if event._ok is not None:
+            raise SimulationError(f"{event!r} has already been triggered")
+        event._ok = ok
+        if ok:
+            event._value = value
+        else:
+            event._exception = value
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
+        if not ok and not event.defused:
+            raise value
+
     # ------------------------------------------------------------------
     # Scheduling and execution
     # ------------------------------------------------------------------
@@ -329,19 +338,13 @@ class Environment:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
+        normal = priority == PRIORITY_NORMAL
         if delay == 0:
-            if priority == PRIORITY_NORMAL:
-                self._lane_normal.append(event)
-            else:
-                self._lane_urgent.append(event)
+            (self._lane_normal if normal else self._lane_urgent).append(event)
             return
         when = self.now + delay
-        if priority == PRIORITY_NORMAL:
-            buckets = self._buckets
-            other = self._buckets_urgent
-        else:
-            buckets = self._buckets_urgent
-            other = self._buckets
+        buckets, other = ((self._buckets, self._buckets_urgent) if normal
+                          else (self._buckets_urgent, self._buckets))
         bucket = buckets.get(when)
         if bucket is None:
             buckets[when] = [event]
@@ -395,22 +398,10 @@ class Environment:
         """Move the clock to ``when`` and swap that tick's buckets in as
         the new lanes. Only called with lanes fully consumed."""
         self.now = when
-        bucket = self._buckets_urgent.pop(when, None) if self._buckets_urgent else None
-        if bucket is not None:
-            self._lane_urgent = bucket
-        else:
-            lane = self._lane_urgent
-            if lane:
-                del lane[:]
-        bucket = self._buckets.pop(when, None)
-        if bucket is not None:
-            self._lane_normal = bucket
-        else:
-            lane = self._lane_normal
-            if lane:
-                del lane[:]
-        self._cursor_urgent = 0
-        self._cursor_normal = 0
+        urgent = self._buckets_urgent
+        self._lane_urgent = urgent.pop(when, []) if urgent else []
+        self._lane_normal = self._buckets.pop(when, [])
+        self._cursor_urgent = self._cursor_normal = 0
 
     def peek(self) -> int | None:
         """Time of the next tick (``withdraw`` may have emptied it), or None."""
@@ -427,49 +418,26 @@ class Environment:
           then return its value (raising its exception if it failed).
         - ``until`` is None: run until the event queue drains.
 
-        The dispatch loops are inlined copies of :meth:`step` — the per-event
-        function call is measurable at the scales the bench harness runs.
+        One loop serves all three with the dispatch inlined: the horizon is
+        tested only where the clock advances, the awaited event once per
+        entry. The cyclic collector is parked for the call: automatic
+        collection is off unless the caller already turned it off, and on
+        the way out :func:`_collect_as_scheduled` runs the one collection
+        its threshold schedule would have run meanwhile.
         """
+        stop = horizon = None
         if isinstance(until, Event):
             stop = until
-            while stop.callbacks is not None:
-                lane = self._lane_urgent
-                index = self._cursor_urgent
-                if index < len(lane):
-                    self._cursor_urgent = index + 1
-                    entry = lane[index]
-                else:
-                    lane = self._lane_normal
-                    index = self._cursor_normal
-                    if index < len(lane):
-                        self._cursor_normal = index + 1
-                        entry = lane[index]
-                    else:
-                        times = self._times
-                        if not times:
-                            raise SimulationError(
-                                "event queue drained before the awaited event fired")
-                        self._advance(heappop(times))
-                        continue
-                if entry.__class__ is _Call:
-                    entry.fn(entry.arg)
-                    continue
-                callbacks = entry.callbacks
-                entry.callbacks = None
-                for callback in callbacks:
-                    callback(entry)
-                if entry._ok is False and not entry.defused:
-                    raise entry._exception  # type: ignore[misc]
-            if stop._ok:
-                return stop._value
-            stop.defused = True
-            raise stop._exception  # type: ignore[misc]
-
-        if until is not None:
+        elif until is not None:
             if until < self.now:
                 raise SimulationError(
                     f"cannot run backwards: now={self.now}, until={until}")
-            while True:
+            horizon = until
+        parked = gc.isenabled()
+        if parked:
+            gc.disable()
+        try:
+            while stop is None or stop.callbacks is not None:
                 lane = self._lane_urgent
                 index = self._cursor_urgent
                 if index < len(lane):
@@ -483,9 +451,9 @@ class Environment:
                         entry = lane[index]
                     else:
                         times = self._times
-                        if not times or times[0] > until:
-                            self.now = until
-                            return None
+                        if not times or (horizon is not None
+                                         and times[0] > horizon):
+                            break
                         self._advance(heappop(times))
                         continue
                 if entry.__class__ is _Call:
@@ -497,34 +465,21 @@ class Environment:
                     callback(entry)
                 if entry._ok is False and not entry.defused:
                     raise entry._exception  # type: ignore[misc]
-
-        while True:
-            lane = self._lane_urgent
-            index = self._cursor_urgent
-            if index < len(lane):
-                self._cursor_urgent = index + 1
-                entry = lane[index]
-            else:
-                lane = self._lane_normal
-                index = self._cursor_normal
-                if index < len(lane):
-                    self._cursor_normal = index + 1
-                    entry = lane[index]
-                else:
-                    times = self._times
-                    if not times:
-                        return None
-                    self._advance(heappop(times))
-                    continue
-            if entry.__class__ is _Call:
-                entry.fn(entry.arg)
-                continue
-            callbacks = entry.callbacks
-            entry.callbacks = None
-            for callback in callbacks:
-                callback(entry)
-            if entry._ok is False and not entry.defused:
-                raise entry._exception  # type: ignore[misc]
+        finally:
+            if parked:
+                gc.enable()
+                _collect_as_scheduled()
+        if stop is None:
+            if horizon is not None:
+                self.now = horizon
+            return None
+        if stop.callbacks is not None:
+            raise SimulationError(
+                "event queue drained before the awaited event fired")
+        if stop._ok:
+            return stop._value
+        stop.defused = True
+        raise stop._exception  # type: ignore[misc]
 
     def run_for(self, duration: int) -> None:
         """Run for ``duration`` nanoseconds of simulated time."""

@@ -303,10 +303,7 @@ class Network:
             if deadline is not None:
                 reply_event.deadline = None
                 self.env.withdraw(deadline)
-            if kind == "__rpc_reply__":
-                reply_event.succeed(value)
-            else:
-                reply_event.fail(value)
+            self.env.resolve(reply_event, kind == "__rpc_reply__", value)
             return
         if endpoint.handler is None:
             raise SimulationError(f"endpoint {message.dst!r} has no handler")

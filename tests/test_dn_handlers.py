@@ -146,26 +146,33 @@ class TestWriteConflictSurface:
         assert outcome and "timeout" in outcome[0]
 
 
+def idle_cluster_with_one_row():
+    """An otherwise idle cluster (no ROR control plane) holding row 1 of
+    ``t``: the CN, the row's primary and a txid nobody else uses."""
+    db = build_cluster(ClusterConfig.globaldb(one_region(),
+                                              ror_enabled=False))
+    session = db.session()
+    session.create_table("t", [("k", "int"), ("v", "int")],
+                         primary_key=["k"])
+    session.begin()
+    session.insert("t", {"k": 1, "v": 10})
+    session.commit()
+    db.run_for(0.3)
+    primary = db.primaries[db.shard_map.shard_for_key("t", (1,))]
+    return db, db.cns[0], primary, 987_654_321
+
+
 class TestRequestEventCost:
     def test_one_rpc_schedules_a_pinned_number_of_events(self):
-        """Queue pushes from sending one request until its reply fires, on
-        an otherwise idle cluster (no ROR control plane). A read is the
-        request message, the worker-pool acquire, the CPU timeout, the
-        reply message and the reply event; the handler adds no kickoff
-        and no completion, and a commit nobody reads around resolves
-        without an event."""
-        db = build_cluster(ClusterConfig.globaldb(one_region(),
-                                                  ror_enabled=False))
-        session = db.session()
-        session.create_table("t", [("k", "int"), ("v", "int")],
-                             primary_key=["k"])
-        session.begin()
-        session.insert("t", {"k": 1, "v": 10})
-        session.commit()
-        db.run_for(0.3)
-        env, cn = db.env, db.cns[0]
-        primary = db.primaries[db.shard_map.shard_for_key("t", (1,))]
-        txid = 987_654_321
+        """Queue pushes from sending one request until its reply fires. A
+        read is the request message, the worker-pool acquire, the CPU
+        timeout and the reply message. The handler adds no kickoff and no
+        completion (``Environment.serve``), a commit nobody reads around
+        resolves without an event, and the reply event is not pushed
+        either: its delivery is the last entry of its tick, so
+        ``Environment.resolve`` dispatches it in place."""
+        db, cn, primary, txid = idle_cluster_with_one_row()
+        env = db.env
         calls = [("read", None, None, "t", (1,)),
                  ("update", txid, "t", (1,), {"v": 11}),
                  ("commit_local", txid, cn.mode)]
@@ -180,7 +187,35 @@ class TestRequestEventCost:
 
         env.run(until=env.process(driver()))
         assert replies["update"][0] == replies["commit_local"][0] == "ok"
-        assert scheduled == {"read": 5, "update": 8, "commit_local": 7}
+        assert scheduled == {"read": 4, "update": 7, "commit_local": 6}
+
+    def test_a_reply_that_shares_its_tick_is_still_pushed(self):
+        """The same read twice; the second time an entry queued at the
+        reply's instant queues one more behind the reply's delivery. The
+        delivery is then not the last entry of its tick, so the reply
+        event is pushed: the read costs its pinned 4, the two extra
+        entries and the reply event."""
+        db, cn, primary, _txid = idle_cluster_with_one_row()
+        env = db.env
+        body = ("read", None, None, "t", (1,))
+        scheduled, replies, behind = [], [], []
+
+        def queue_one_more(_arg) -> None:
+            env.defer(0, behind.append, env.now)
+
+        def driver():
+            for share_the_tick in (False, True):
+                before, start = env.events_scheduled, env.now
+                if share_the_tick:
+                    env.defer(round_trip, queue_one_more, None)
+                replies.append((yield db.network.request(
+                    cn.name, primary.name, body)))
+                scheduled.append(env.events_scheduled - before)
+                round_trip = env.now - start
+
+        env.run(until=env.process(driver()))
+        assert scheduled == [4, 4 + 2 + 1]
+        assert replies[0] == replies[1] and behind == [env.now]
 
 
 class TestGtmServerDetails:

@@ -20,6 +20,11 @@ exhaustively at the kernel surface.
 from a deferred call (as ``Network._deliver`` starts a data node's) fire
 the same actions in the same order whether served or run as processes,
 and serving saves exactly the kickoff and the completion.
+
+``TestReplyInPlace`` checks ``Environment.resolve`` through
+``Network._deliver``: programs in which some deferred calls are RPC
+reply deliveries fire in the reference heap's order, and each reply whose
+delivery is the last entry of its tick saves exactly its push.
 """
 
 import heapq
@@ -36,6 +41,7 @@ from repro.sim.events import (
     PRIORITY_URGENT,
     Timeout,
 )
+from repro.sim.network import Message, Network, _Reply
 
 #: Node kinds and the priority each occupies in the reference model.
 KINDS = {
@@ -110,9 +116,10 @@ def reference_order(program: list) -> tuple[list[tuple[int, int]], int]:
 
 
 def schedule_on(env: Environment, node: tuple, fired: list,
-                handles: dict) -> None:
+                handles: dict, rpc: tuple | None = None) -> None:
     """``handles`` maps a waiting defer node to its kernel handle; a node
-    leaves it when it fires or is withdrawn."""
+    leaves it when it fires or is withdrawn. ``rpc`` is ``(network,
+    replies)`` for an RPC program (see :func:`rpc_programs`)."""
     node_id, delay, kind, children, victims = node
 
     def fire(_arg) -> None:
@@ -123,7 +130,9 @@ def schedule_on(env: Environment, node: tuple, fired: list,
             if handle is not None:
                 env.withdraw(handle)
         for child in children:
-            schedule_on(env, child, fired, handles)
+            schedule_on(env, child, fired, handles, rpc)
+        if rpc is not None and node_id in rpc[1]:
+            deliver_reply(rpc[0], node_id, rpc[1][node_id], fired)
 
     if kind == "defer":
         handles[node_id] = env.defer(delay, fire, None)
@@ -410,3 +419,153 @@ class TestServe:
         env.serve(handler())
         with pytest.raises(SimulationError, match="non-event"):
             env.run()
+
+
+#: The two payloads ``Network._deliver`` completes a caller's RPC with.
+RPC_OUTCOMES = ("__rpc_reply__", "__rpc_fail__")
+
+
+@st.composite
+def rpc_programs(draw):
+    """A :func:`programs` forest in which some ``defer`` nodes are RPC
+    reply deliveries: such a node fires, schedules its children, and as
+    its last action hands ``Network._deliver`` a reply or a failure for an
+    event whose one callback fires the reply node ``(node_id, "reply")``
+    (and defuses a failure, as a waiting process does). Returns the forest
+    and ``{node_id: outcome}``."""
+    program = draw(programs())
+    replies = {}
+
+    def walk(nodes) -> None:
+        for node_id, _delay, kind, children, _victims in nodes:
+            if kind == "defer":
+                outcome = draw(st.sampled_from((None,) + RPC_OUTCOMES))
+                if outcome is not None:
+                    replies[node_id] = outcome
+            walk(children)
+
+    walk(program)
+    return program, replies
+
+
+def with_reply_nodes(program: list, replies: dict) -> list:
+    """The reference model's view of an RPC program: a delivery pushes the
+    reply event (a normal event at delay 0) after its children."""
+    return [(node_id, delay, kind,
+             with_reply_nodes(children, replies)
+             + ([((node_id, "reply"), 0, "event_normal", [], ())]
+                if node_id in replies else []),
+             victims)
+            for node_id, delay, kind, children, victims in program]
+
+
+def replies_alone(fired: list) -> int:
+    """Replies whose delivery was the last entry of its tick. Everything
+    still queued at a delivery's tick fires before the reply pushed last,
+    so a reply landed alone exactly when it fires right after its
+    delivery."""
+    return sum(1 for before, after in zip(fired, fired[1:])
+               if after[0] == (before[0], "reply"))
+
+
+def rpc_network() -> Network:
+    network = Network(Environment())
+    network.add_endpoint("caller", "r1")
+    return network
+
+
+def deliver_reply(network: Network, node_id, outcome: str, fired: list,
+                  defuse: bool = True) -> _Reply:
+    """Hand ``Network._deliver`` an RPC reply for ``node_id``; called as
+    the last action of the running entry."""
+    env = network.env
+    reply = _Reply(env)
+    reply.deadline = None
+
+    def on_reply(event) -> None:
+        if defuse:
+            event.defused = True
+        fired.append(((node_id, "reply"), env.now))
+
+    reply.callbacks.append(on_reply)
+    value = ValueError(node_id) if outcome == "__rpc_fail__" else node_id
+    network._deliver(Message("callee", "caller", (outcome, reply, value), 64,
+                             env.now, env.now))
+    return reply
+
+
+class TestReplyInPlace:
+    @settings(max_examples=300, deadline=None)
+    @given(rpc_programs(), st.integers(min_value=0, max_value=17))
+    def test_rpc_programs_match_heap_reference(self, program_replies,
+                                               stride):
+        """Same order as the reference heap, drained (stride 0) or in
+        run(until=) chunks; each reply that landed alone saved its push."""
+        program, replies = program_replies
+        network = rpc_network()
+        env = network.env
+        fired: list = []
+        for node in program:
+            schedule_on(env, node, fired, {}, (network, replies))
+        if stride:
+            while env.peek() is not None:
+                env.run(until=env.now + stride)
+        else:
+            env.run()
+        expected, pushes = reference_order(with_reply_nodes(program,
+                                                            replies))
+        assert fired == expected
+        assert env.events_scheduled == pushes - replies_alone(expected)
+
+    @pytest.mark.parametrize("outcome", RPC_OUTCOMES)
+    @pytest.mark.parametrize("alone", [True, False])
+    def test_reply_alone_is_dispatched_in_place(self, outcome, alone):
+        network = rpc_network()
+        env = network.env
+        fired: list = []
+        replies: list = []
+        env.defer(5, lambda _arg: replies.append(
+            deliver_reply(network, "rpc", outcome, fired)), None)
+        if not alone:
+            env.defer(5, fired.append, "behind")
+        env.run()
+        assert fired == ([(("rpc", "reply"), 5)] if alone
+                         else ["behind", (("rpc", "reply"), 5)])
+        assert env.events_scheduled == (1 if alone else 3)
+        assert replies[0].processed and replies[0].ok is (
+            outcome == "__rpc_reply__")
+
+    @pytest.mark.parametrize("alone", [True, False])
+    def test_undefused_failed_reply_raises_out_of_run(self, alone):
+        network = rpc_network()
+        env = network.env
+        fired: list = []
+        env.defer(5, lambda _arg: deliver_reply(
+            network, "rpc", "__rpc_fail__", fired, defuse=False), None)
+        if not alone:
+            env.defer(5, fired.append, "behind")
+        env.defer(6, fired.append, "later")
+        with pytest.raises(ValueError, match="rpc"):
+            env.run()
+        assert env.now == 5
+        assert fired == ([] if alone else ["behind"]) + [(("rpc", "reply"), 5)]
+
+    @pytest.mark.parametrize("outcome", RPC_OUTCOMES)
+    def test_run_until_a_reply_dispatched_in_place(self, outcome):
+        """``run(until=reply)`` stops right after the in-place dispatch
+        and returns the reply's value or raises its failure."""
+        network = rpc_network()
+        env = network.env
+        fired: list = []
+        reply = _Reply(env)
+        reply.deadline = None
+        value = ValueError("rpc") if outcome == "__rpc_fail__" else "rpc"
+        env.defer(5, network._deliver, Message(
+            "callee", "caller", (outcome, reply, value), 64, 0, 5))
+        env.defer(6, fired.append, "later")
+        if outcome == "__rpc_reply__":
+            assert env.run(until=reply) == "rpc"
+        else:
+            with pytest.raises(ValueError, match="rpc"):
+                env.run(until=reply)
+        assert env.now == 5 and not fired and env.events_scheduled == 2
