@@ -151,15 +151,14 @@ class ComputingNode(ClusterNode):
                             mode=str(mode))
         return ctx
 
-    def _op(self, ctx: TxnContext, shard: int, body: tuple,
-            timeout_ns: int | None = OP_TIMEOUT_NS):
+    def _op(self, ctx: TxnContext, shard: int, body: tuple):
         """Generator: one transactional RPC to a shard primary. A primary
-        that is down at send time, or silent past ``timeout_ns``, aborts
-        the transaction instead of hanging the client."""
+        that is down at send time, or silent past ``OP_TIMEOUT_NS``,
+        aborts the transaction instead of hanging the client."""
         try:
             reply = yield self.network.request(
                 self.name, self.primary_of_shard[shard], body,
-                timeout_ns=timeout_ns)
+                timeout_ns=OP_TIMEOUT_NS)
         except NetworkError as exc:
             yield from self.g_abort(ctx)
             raise TransactionAborted(f"shard {shard} unreachable: {exc}")
@@ -259,7 +258,8 @@ class ComputingNode(ClusterNode):
         ctx.touched_shards.update(shards)
         requests = [
             self.network.request(self.name, self.primary_of_shard[shard],
-                                 ("scan", ctx.txid, ctx.read_ts, table, predicate))
+                                 ("scan", ctx.txid, ctx.read_ts, table, predicate),
+                                 timeout_ns=OP_TIMEOUT_NS)
             for shard in shards
         ]
         try:
@@ -285,11 +285,9 @@ class ComputingNode(ClusterNode):
         """
         shard = self._lookup_shard(table, shard_value)
         ctx.touched_shards.add(shard)
-        # No deadline: a deadline is a queue entry of its own.
         rows, _ts = yield from self._op(
             ctx, shard,
-            ("lookup_index", ctx.txid, ctx.read_ts, table, column, value),
-            timeout_ns=None)
+            ("lookup_index", ctx.txid, ctx.read_ts, table, column, value))
         return rows
 
     def g_commit(self, ctx: TxnContext):

@@ -21,14 +21,20 @@ seq)`` order without building the tuples (DESIGN.md §4g):
   the lanes; one whose bucket :meth:`Environment.withdraw` emptied runs as
   an empty tick. Time only moves forward, so nothing goes stale.
 
-Every push consumes one sequence number (``events_scheduled``). Three
-kernel calls push less, each order-equivalent to what it saves:
-:meth:`Environment.defer` queues a bare ``fn(arg)`` with no
-:class:`Event` (and :meth:`Environment.withdraw` takes it back),
-:meth:`Environment.serve` runs a handler nobody joins with no
-:class:`Process`, and :meth:`Environment.resolve` dispatches an RPC reply
-in place when its delivery is the last entry of its tick. Nothing is
-recycled, so no handle can come to name somebody else's work.
+Every push consumes one sequence number (``events_scheduled``). One rule
+saves pushes: a push that :meth:`Environment.run` would pop next may be
+dispatched where it is made, as long as the running entry does nothing
+after it but hand the event to its waiter. :meth:`Environment.resolve`
+applies it to a triggered event: an RPC reply delivered as the last entry
+of its tick (``Network._deliver``), and three waits already satisfied
+when they are made: a free worker-pool slot (``Semaphore.acquire``), a
+free or re-entrant row lock (``LockTable.acquire``) and a fan-out whose
+last reply has just landed (``settle``). :meth:`Environment.serve`
+applies it to a handler's kickoff, and drops the completion nobody joins.
+:meth:`Environment.defer` makes the pushes that remain cheaper: it queues
+a bare ``fn(arg)`` with no :class:`Event` (and
+:meth:`Environment.withdraw` takes it back). Nothing is recycled, so no
+handle can come to name somebody else's work.
 
 :meth:`Environment.run` is one loop with the dispatch inlined, and the
 cyclic collector is parked while it runs. ``now`` is a plain attribute,
@@ -304,13 +310,22 @@ class Environment:
         ``fail(value)`` would; but when that push would be the next entry
         :meth:`run` pops, dispatch the event here instead, exactly as the
         loop does (outcome, callbacks, an undefused failure raised), and
-        save the push.
+        save the push. An event nobody waits on yet comes back processed:
+        a generator that yields it continues inline, as ``_resume`` does
+        with any processed event.
 
-        Precondition, as for :meth:`serve`: call it only as the last action
-        of a normal-lane entry (``Network._deliver`` delivering a reply).
-        A push made then is the next entry exactly when the urgent lane is
-        drained and the normal cursor is at the end of its lane, that is,
-        when the running entry was the last of its tick.
+        A push is the next entry exactly when the urgent lane is drained
+        and the normal cursor is at the end of its lane. Dispatching in
+        place is then order-equivalent on one precondition: after
+        ``resolve`` returns, the running entry does nothing but hand the
+        event to its waiter. Either the call is the entry's last action
+        (its callbacks are registered already: ``Network._deliver``
+        delivering a reply, ``settle``'s last child landing), or the
+        caller yields the event at once and that yield ends the entry (a
+        free ``Semaphore`` slot or ``LockTable`` lock, a ``settle`` whose
+        children have all landed). A generator resumed as one of several
+        callbacks of a shared event does not end its entry when it yields;
+        DESIGN.md §4g shows that none of the callers is reached that way.
         """
         if (self._cursor_urgent < len(self._lane_urgent)
                 or self._cursor_normal < len(self._lane_normal)):

@@ -213,6 +213,11 @@ def settle(env: "Environment", events: list[Event]) -> Event:
     defused and the caller inspects each child's ``ok``/``value`` after the
     settle event fires. Used for fan-out RPCs where stragglers or timeouts
     must not abort the round.
+
+    The last child to land triggers the outcome through
+    ``Environment.resolve``, so yield the outcome at once and never
+    ``add_callback`` to it. Add no callback to a child after settle's own:
+    that one must be the last action of the child's dispatch.
     """
     outcome = Event(env)
     remaining = len(events)
@@ -225,7 +230,7 @@ def settle(env: "Environment", events: list[Event]) -> Event:
         child.defused = True
         remaining -= 1
         if remaining == 0:
-            outcome.succeed(events)
+            env.resolve(outcome, True, events)
 
     for child in events:
         if child.processed:

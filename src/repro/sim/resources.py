@@ -30,11 +30,16 @@ class Semaphore:
         self.peak_queue = 0
 
     def acquire(self) -> Event:
-        """Event that fires when a slot is held. Immediate if free."""
+        """Event that fires when a slot is held.
+
+        A free slot is granted at once through ``Environment.resolve``, so
+        the returned event may already be processed: yield it at once, as
+        the last action of the running entry, and never ``add_callback``
+        to it."""
         event = Event(self.env)
         if self.in_use < self.capacity:
             self.in_use += 1
-            event.succeed(True)
+            self.env.resolve(event, True, True)
         else:
             self._waiters.append(event)
             self.peak_queue = max(self.peak_queue, len(self._waiters))

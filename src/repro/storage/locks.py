@@ -53,7 +53,10 @@ class LockTable:
         lock is held, or fails with :class:`WriteConflict` on timeout.
 
         Re-entrant: a transaction acquiring a lock it already holds
-        succeeds immediately.
+        succeeds immediately. A free or re-entrant lock is granted through
+        ``Environment.resolve``, so the returned event may already be
+        processed: yield it at once, as the last action of the running
+        entry, and never ``add_callback`` to it.
         """
         lock_key = (table, key)
         env = self.env
@@ -65,10 +68,10 @@ class LockTable:
             self._held.setdefault(txid, set()).add(lock_key)
             if san is not None:
                 san.on_lock_granted(self, txid, lock_key)
-            done.succeed(True)
+            env.resolve(done, True, True)
             return done
         if state.holder == txid:
-            done.succeed(True)
+            env.resolve(done, True, True)
             return done
         if san is not None:
             cycle = san.on_lock_wait(self, txid, lock_key)

@@ -165,12 +165,17 @@ def idle_cluster_with_one_row():
 class TestRequestEventCost:
     def test_one_rpc_schedules_a_pinned_number_of_events(self):
         """Queue pushes from sending one request until its reply fires. A
-        read is the request message, the worker-pool acquire, the CPU
-        timeout and the reply message. The handler adds no kickoff and no
-        completion (``Environment.serve``), a commit nobody reads around
-        resolves without an event, and the reply event is not pushed
-        either: its delivery is the last entry of its tick, so
-        ``Environment.resolve`` dispatches it in place."""
+        read is the request message, the CPU timeout and the reply
+        message. An update adds the log shipper's two batch timers (one
+        per replica); a local commit adds the two GClock commit-wait
+        timeouts. The handler adds no kickoff and no completion
+        (``Environment.serve``), and a commit nobody reads around resolves
+        without an event. Nor are the waits that are already satisfied
+        pushed: on an idle cluster each is the last entry of its tick, so
+        ``Environment.resolve`` grants it in place. Those are the free
+        worker-pool slot (one push fewer on each call), the free row lock
+        (one more on the update) and the reply, whose delivery ends its
+        tick."""
         db, cn, primary, txid = idle_cluster_with_one_row()
         env = db.env
         calls = [("read", None, None, "t", (1,)),
@@ -187,14 +192,16 @@ class TestRequestEventCost:
 
         env.run(until=env.process(driver()))
         assert replies["update"][0] == replies["commit_local"][0] == "ok"
-        assert scheduled == {"read": 4, "update": 7, "commit_local": 6}
+        assert scheduled == {"read": 3, "update": 5, "commit_local": 5}
 
     def test_a_reply_that_shares_its_tick_is_still_pushed(self):
         """The same read twice; the second time an entry queued at the
         reply's instant queues one more behind the reply's delivery. The
         delivery is then not the last entry of its tick, so the reply
-        event is pushed: the read costs its pinned 4, the two extra
-        entries and the reply event."""
+        event is pushed: the read costs its pinned 3, the two extra
+        entries and the reply event. The free worker-pool slot is granted
+        in place both times: the handler takes it on the request's
+        delivery, which ends its tick."""
         db, cn, primary, _txid = idle_cluster_with_one_row()
         env = db.env
         body = ("read", None, None, "t", (1,))
@@ -214,7 +221,7 @@ class TestRequestEventCost:
                 round_trip = env.now - start
 
         env.run(until=env.process(driver()))
-        assert scheduled == [4, 4 + 2 + 1]
+        assert scheduled == [3, 3 + 2 + 1]
         assert replies[0] == replies[1] and behind == [env.now]
 
 

@@ -25,6 +25,13 @@ and serving saves exactly the kickoff and the completion.
 ``Network._deliver``: programs in which some deferred calls are RPC
 reply deliveries fire in the reference heap's order, and each reply whose
 delivery is the last entry of its tick saves exactly its push.
+
+``TestGrantInPlace`` checks the same primitive at its other callers: a
+free ``Semaphore`` slot, a free or re-entrant ``LockTable`` lock and a
+``settle`` whose last child has landed. Programs in which handlers wait on
+such grants fire in the order of the reference heap, where every grant is
+pushed, and each grant whose trigger was the last entry of its tick saves
+exactly its push.
 """
 
 import heapq
@@ -40,8 +47,11 @@ from repro.sim.events import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
     Timeout,
+    settle,
 )
 from repro.sim.network import Message, Network, _Reply
+from repro.sim.resources import Semaphore
+from repro.storage.locks import LockTable
 
 #: Node kinds and the priority each occupies in the reference model.
 KINDS = {
@@ -116,10 +126,11 @@ def reference_order(program: list) -> tuple[list[tuple[int, int]], int]:
 
 
 def schedule_on(env: Environment, node: tuple, fired: list,
-                handles: dict, rpc: tuple | None = None) -> None:
+                handles: dict, last=None) -> None:
     """``handles`` maps a waiting defer node to its kernel handle; a node
-    leaves it when it fires or is withdrawn. ``rpc`` is ``(network,
-    replies)`` for an RPC program (see :func:`rpc_programs`)."""
+    leaves it when it fires or is withdrawn. ``last(node_id)``, if given,
+    runs as the last action of every defer node's firing (an RPC reply's
+    delivery, a grant; see :func:`rpc_programs`, :func:`grant_programs`)."""
     node_id, delay, kind, children, victims = node
 
     def fire(_arg) -> None:
@@ -130,9 +141,9 @@ def schedule_on(env: Environment, node: tuple, fired: list,
             if handle is not None:
                 env.withdraw(handle)
         for child in children:
-            schedule_on(env, child, fired, handles, rpc)
-        if rpc is not None and node_id in rpc[1]:
-            deliver_reply(rpc[0], node_id, rpc[1][node_id], fired)
+            schedule_on(env, child, fired, handles, last)
+        if last is not None:
+            last(node_id)
 
     if kind == "defer":
         handles[node_id] = env.defer(delay, fire, None)
@@ -459,13 +470,21 @@ def with_reply_nodes(program: list, replies: dict) -> list:
             for node_id, delay, kind, children, victims in program]
 
 
-def replies_alone(fired: list) -> int:
-    """Replies whose delivery was the last entry of its tick. Everything
-    still queued at a delivery's tick fires before the reply pushed last,
-    so a reply landed alone exactly when it fires right after its
-    delivery."""
+def landed_alone(fired: list, tag: str = "reply") -> int:
+    """Pushes of kind ``tag`` (node ``(parent, tag)``) whose trigger was
+    the last entry of its tick. Everything still queued at that tick fires
+    before the event pushed last, so such an event landed alone exactly
+    when it fires right after its parent."""
     return sum(1 for before, after in zip(fired, fired[1:])
-               if after[0] == (before[0], "reply"))
+               if after[0] == (before[0], tag))
+
+
+def reply_last(network: Network, replies: dict, fired: list):
+    """A :func:`schedule_on` ``last`` that delivers each reply node's reply."""
+    def last(node_id) -> None:
+        if node_id in replies:
+            deliver_reply(network, node_id, replies[node_id], fired)
+    return last
 
 
 def rpc_network() -> Network:
@@ -506,7 +525,8 @@ class TestReplyInPlace:
         env = network.env
         fired: list = []
         for node in program:
-            schedule_on(env, node, fired, {}, (network, replies))
+            schedule_on(env, node, fired, {},
+                        reply_last(network, replies, fired))
         if stride:
             while env.peek() is not None:
                 env.run(until=env.now + stride)
@@ -515,7 +535,7 @@ class TestReplyInPlace:
         expected, pushes = reference_order(with_reply_nodes(program,
                                                             replies))
         assert fired == expected
-        assert env.events_scheduled == pushes - replies_alone(expected)
+        assert env.events_scheduled == pushes - landed_alone(expected)
 
     @pytest.mark.parametrize("outcome", RPC_OUTCOMES)
     @pytest.mark.parametrize("alone", [True, False])
@@ -569,3 +589,159 @@ class TestReplyInPlace:
             with pytest.raises(ValueError, match="rpc"):
                 env.run(until=reply)
         assert env.now == 5 and not fired and env.events_scheduled == 2
+
+
+#: The waits a grant handler makes, one after another: a worker-pool slot
+#: (the pool never fills), one of two row locks of its own (taken again,
+#: re-entrantly, when drawn twice), or a settle over its previous wait,
+#: which has landed by then.
+GRANTS = ("slot", "lock 0", "lock 1", "settle")
+
+
+@st.composite
+def grant_programs(draw):
+    """A :func:`programs` forest in which some ``defer`` nodes end by
+    serving a handler that makes a chain of waits drawn from
+    :data:`GRANTS` (never a settle first), each already satisfied when it
+    is made, and some end by delivering an RPC reply whose one waiter is a
+    ``settle``: the reply is its last child, so settle's final
+    ``on_child`` runs inside the reply's dispatch. Returns the forest and
+    ``{node_id: chain or "settled reply"}``."""
+    program = draw(programs())
+    plans = {}
+
+    def walk(nodes) -> None:
+        for node_id, _delay, kind, children, _victims in nodes:
+            if kind == "defer":
+                plan = draw(st.sampled_from((None, "chain", "settled reply")))
+                if plan == "chain":
+                    plan = [draw(st.sampled_from(GRANTS[:-1]))] + draw(
+                        st.lists(st.sampled_from(GRANTS), max_size=2))
+                if plan is not None:
+                    plans[node_id] = plan
+            walk(children)
+
+    walk(program)
+    return program, plans
+
+
+def pushed_chain(parent, tags: list) -> list:
+    """Reference nodes for events pushed one by the dispatch of the other,
+    at delay 0 on the normal lane: ``(parent, tags[0])`` first."""
+    if not tags:
+        return []
+    ident = (parent, tags[0])
+    return [(ident, 0, "event_normal", pushed_chain(ident, tags[1:]), ())]
+
+
+def with_grant_nodes(program: list, plans: dict) -> list:
+    """The reference model's view of a grant program, where every grant is
+    pushed: a chain's first grant after the node's children, each further
+    grant by the dispatch of the one before; a settled reply is the reply
+    event, whose dispatch pushes the settle."""
+    nodes = []
+    for node_id, delay, kind, children, victims in program:
+        children = with_grant_nodes(children, plans)
+        plan = plans.get(node_id)
+        if plan == "settled reply":
+            children += pushed_chain(node_id, ["reply", "grant"])
+        elif plan is not None:
+            children += pushed_chain(node_id, ["grant"] * len(plan))
+        nodes.append((node_id, delay, kind, children, victims))
+    return nodes
+
+
+def grant_last(network: Network, plans: dict, fired: list):
+    """A :func:`schedule_on` ``last`` that runs each node's plan: serve
+    the chain's handler, which logs ``(previous, "grant")`` after each
+    wait, or deliver the settled reply."""
+    env = network.env
+    pool = Semaphore(env, capacity=1 << 30)
+    locks = LockTable(env)
+
+    def chain(node_id, plan):
+        ident, wait = node_id, None
+        for kind in plan:
+            if kind == "slot":
+                wait = pool.acquire()
+            elif kind == "settle":
+                wait = settle(env, [wait])
+            else:
+                wait = locks.acquire(1, "t", (node_id, kind))
+            yield wait
+            ident = (ident, "grant")
+            fired.append((ident, env.now))
+
+    def settled(node_id, reply):
+        yield settle(env, [reply])
+        fired.append((((node_id, "reply"), "grant"), env.now))
+
+    def last(node_id) -> None:
+        plan = plans.get(node_id)
+        if plan is None:
+            return
+        if plan != "settled reply":
+            env.serve(chain(node_id, plan))
+            return
+        reply = _Reply(env)
+        reply.deadline = None
+        reply.callbacks.append(lambda _event: fired.append(
+            ((node_id, "reply"), env.now)))
+        env.serve(settled(node_id, reply))
+        network._deliver(Message("callee", "caller",
+                                 ("__rpc_reply__", reply, node_id), 64,
+                                 env.now, env.now))
+
+    return last
+
+
+class TestGrantInPlace:
+    @settings(max_examples=300, deadline=None)
+    @given(grant_programs(), st.integers(min_value=0, max_value=17))
+    def test_grant_programs_match_heap_reference(self, program_plans,
+                                                 stride):
+        """Same order as the reference heap, where every grant is pushed,
+        drained (stride 0) or in run(until=) chunks; each grant and each
+        reply that landed alone saved its push."""
+        program, plans = program_plans
+        network = rpc_network()
+        env = network.env
+        fired: list = []
+        last = grant_last(network, plans, fired)
+        for node in program:
+            schedule_on(env, node, fired, {}, last)
+        if stride:
+            while env.peek() is not None:
+                env.run(until=env.now + stride)
+        else:
+            env.run()
+        expected, pushes = reference_order(with_grant_nodes(program, plans))
+        assert fired == expected
+        assert env.events_scheduled == (pushes - landed_alone(expected, "grant")
+                                        - landed_alone(expected, "reply"))
+
+    @pytest.mark.parametrize("wait", ["slot", "lock", "relock"])
+    @pytest.mark.parametrize("alone", [True, False])
+    def test_free_wait_comes_back_processed_when_alone(self, wait, alone):
+        """A wait that is already satisfied comes back processed (a yield
+        consumes it at once; ``add_callback`` would raise) when it is made
+        in the last entry of its tick, and triggered but pending
+        otherwise."""
+        env = Environment()
+        locks = LockTable(env)
+        states: list = []
+
+        def make(_arg) -> None:
+            if wait == "slot":
+                grant = Semaphore(env, 1).acquire()
+            else:
+                if wait == "relock":
+                    locks.acquire(1, "t", (1,))
+                grant = locks.acquire(1, "t", (1,))
+            states.append((grant.triggered, grant.processed))
+
+        env.defer(5, make, None)
+        if not alone:
+            env.defer(5, states.append, "behind")
+        env.run()
+        assert states[0] == (True, alone)
