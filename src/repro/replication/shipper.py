@@ -11,9 +11,11 @@ fewer, larger batches instead of paying per-flush overhead on a channel
 whose freshness is already lost.
 
 The shipper is pure callbacks — an append either triggers an inline flush
-(size threshold) or arms one deferred flush timer for the whole window, so
-an idle channel costs zero simulation events and a busy one costs one
-timer per batch rather than a wake event per record.
+(size threshold) or arms one flush timer for the whole window
+(``Environment.arm``), so an idle channel costs zero simulation events and
+a busy one costs one timer per batch rather than a wake event per record.
+A timer that a size flush or a pause withdraws before it is due costs no
+event at all; one that fires is counted when it comes due.
 
 Byte accounting per flush (this is where the paper's §V-A optimisations
 act):
@@ -98,8 +100,8 @@ class LogShipper:
         self.widened_windows = 0
         self.paused = False
         self._batch_opened_at = env.now
-        #: Kernel handle of the armed flush timer; a size flush or a
-        #: pause withdraws it.
+        #: :meth:`~repro.sim.core.Environment.arm` handle of the flush
+        #: timer; a size flush or a pause withdraws it before it is due.
         self._timer = None
         # Catch up on anything already in the WAL, then follow appends.
         for record in wal.records_from(0):
@@ -139,7 +141,7 @@ class LogShipper:
 
     def _arm(self, delay_ns: int) -> None:
         self._cancel_timer()
-        self._timer = self.env.defer(delay_ns, self._on_timer, None)
+        self._timer = self.env.arm(delay_ns, self._on_timer, None)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:

@@ -16,25 +16,34 @@ seq)`` order without building the tuples (DESIGN.md §4g):
   because ``_seq`` only grows, and the urgent lane drains first.
 - *Per-timestamp buckets* (``dict[when -> list]``, and a second dict for
   the rare future urgent entry) hold future work in sequence order.
-- *A min-heap of distinct future timestamps*: each enters once, when its
-  bucket is made. Advancing the clock pops one and swaps its buckets in as
-  the lanes; one whose bucket :meth:`Environment.withdraw` emptied runs as
-  an empty tick. Time only moves forward, so nothing goes stale.
+- *An armed ledger* (``dict[when -> list]``) holds the guard timers that
+  may be taken back (:meth:`Environment.arm`, :meth:`Environment.withdraw`):
+  RPC and lock-wait deadlines, the shipper's flush timer. Each remembers
+  its *slot*, the length of its instant's bucket when it was armed; when
+  that instant comes due the live ones are spliced into the normal lane
+  at ``slot`` plus the number spliced before them, which is where their
+  push would have stood. Buckets only grow, so the slot stays exact.
+- *A min-heap of distinct future timestamps*: each enters when its bucket
+  or armed list is made (rarely twice). Advancing the clock pops one and
+  swaps its entries in as the lanes; one left with nothing, because every
+  entry armed for it was withdrawn, is an empty tick that only moves the
+  clock. Time only moves forward, so nothing goes stale.
 
-Every push consumes one sequence number (``events_scheduled``). One rule
-saves pushes: a push that :meth:`Environment.run` would pop next may be
-dispatched where it is made, as long as the running entry does nothing
-after it but hand the event to its waiter. :meth:`Environment.resolve`
-applies it to a triggered event: an RPC reply delivered as the last entry
-of its tick (``Network._deliver``), and three waits already satisfied
-when they are made: a free worker-pool slot (``Semaphore.acquire``), a
+Every push consumes one sequence number (``events_scheduled``); an armed
+entry consumes its one when it comes due, so a deadline withdrawn before
+then never counts. One rule saves pushes: a push that
+:meth:`Environment.run` would pop next may be dispatched where it is
+made, as long as the running entry does nothing after it but hand the
+event to its waiter. :meth:`Environment.resolve` applies it to a
+triggered event: an RPC reply delivered as the last entry of its tick
+(``Network._deliver``), and three waits already satisfied when they are
+made: a free worker-pool slot (``Semaphore.acquire``), a
 free or re-entrant row lock (``LockTable.acquire``) and a fan-out whose
 last reply has just landed (``settle``). :meth:`Environment.serve`
 applies it to a handler's kickoff, and drops the completion nobody joins.
 :meth:`Environment.defer` makes the pushes that remain cheaper: it queues
-a bare ``fn(arg)`` with no :class:`Event` (and
-:meth:`Environment.withdraw` takes it back). Nothing is recycled, so no
-handle can come to name somebody else's work.
+a bare ``fn(arg)`` with no :class:`Event`. Nothing is recycled, so no
+:meth:`Environment.arm` handle can come to name somebody else's work.
 
 :meth:`Environment.run` is one loop with the dispatch inlined, and the
 cyclic collector is parked while it runs. ``now`` is a plain attribute,
@@ -59,10 +68,11 @@ from repro.sim.events import Event, Interrupt, Timeout, PRIORITY_NORMAL, PRIORIT
 class _Call:
     """A queue entry that invokes ``fn(arg)`` when it fires — the
     allocation-free alternative to a triggered :class:`Event` with one
-    callback; nothing can wait on one. ``when`` is the tick ``defer``
-    queued it for, which is where ``withdraw`` looks for it."""
+    callback; nothing can wait on one. An armed entry also carries
+    ``when``, the tick ``arm`` armed it for (where ``withdraw`` looks for
+    it), and ``slot``, its place in that tick's normal lane."""
 
-    __slots__ = ("fn", "arg", "when")
+    __slots__ = ("fn", "arg", "when", "slot")
 
     def __init__(self, fn, arg):
         self.fn = fn
@@ -242,6 +252,7 @@ class Environment:
         self._cursor_normal = 0
         self._buckets: dict[int, list] = {}
         self._buckets_urgent: dict[int, list] = {}
+        self._armed: dict[int, list] = {}
         self._times: list[int] = []
         self._seq = 0
         # Observability handles (see repro.obs): shared no-op singletons
@@ -266,7 +277,9 @@ class Environment:
 
     @property
     def events_scheduled(self) -> int:
-        """Total queue pushes so far (the benchmark's events metric)."""
+        """Total queue pushes so far (the benchmark's events metric). An
+        armed entry counts when it comes due, and never if withdrawn
+        before then."""
         return self._seq
 
     # ------------------------------------------------------------------
@@ -368,19 +381,18 @@ class Environment:
         else:
             bucket.append(event)
 
-    def defer(self, delay: int, fn, arg) -> _Call:
+    def defer(self, delay: int, fn, arg) -> None:
         """Schedule ``fn(arg)`` to run ``delay`` ns from now at normal
         priority, without allocating an Event. Consumes one sequence
-        number, exactly like scheduling an event would. The returned
-        ``_Call`` is the handle :meth:`withdraw` takes.
+        number, exactly like scheduling an event would. A call that may be
+        taken back is armed instead (:meth:`arm`).
         """
         call = _Call(fn, arg)
         self._seq += 1
         if delay <= 0:
-            call.when = self.now
             self._lane_normal.append(call)
-            return call
-        call.when = when = self.now + delay
+            return
+        when = self.now + delay
         buckets = self._buckets
         bucket = buckets.get(when)
         if bucket is None:
@@ -389,33 +401,79 @@ class Environment:
                 heappush(self._times, when)
         else:
             bucket.append(call)
+
+    def arm(self, delay: int, fn, arg) -> _Call:
+        """Like :meth:`defer`, for a guard timer that usually never fires:
+        the returned ``_Call`` is the handle :meth:`withdraw` takes.
+
+        The entry waits in the armed ledger, not in its instant's bucket,
+        and records as ``slot`` how many normal entries that bucket holds
+        now. When the instant comes due, ``_advance`` splices it into the
+        normal lane behind exactly those entries, where :meth:`defer`
+        would have put it, and only then consumes its sequence number. The
+        instant's timestamp is pushed when its armed list is made; if a
+        bucket already put it on the heap, the second copy is an empty
+        tick.
+        """
+        call = _Call(fn, arg)
+        if delay <= 0:
+            self._seq += 1
+            call.when = self.now
+            self._lane_normal.append(call)
+            return call
+        call.when = when = self.now + delay
+        buckets = self._buckets
+        call.slot = len(buckets[when]) if when in buckets else 0
+        armed = self._armed
+        if when in armed:
+            armed[when].append(call)
+        else:
+            armed[when] = [call]
+            heappush(self._times, when)
         return call
 
     def withdraw(self, call: _Call) -> None:
-        """Take back a :meth:`defer`: ``fn`` will not run.
+        """Take back an :meth:`arm`: ``fn`` will not run.
 
-        A future entry leaves its bucket (an emptied bucket is deleted;
-        its timestamp stays on the heap as an empty tick). An entry whose
-        tick is already in the lanes stays where it is and fires as a
-        no-op; one that already fired is left alone. No sequence number is
-        consumed or returned.
+        An entry whose instant has not come due leaves the armed ledger
+        and consumes no sequence number (its timestamp stays on the heap,
+        an empty tick if nothing else is due then). An entry already
+        spliced into the running tick's lane stays where it is and fires
+        as a no-op; one that already fired is left alone.
         """
-        bucket = self._buckets.get(call.when)
-        if bucket is None:
+        armed = self._armed.get(call.when)
+        if armed is None:
             call.fn = _withdrawn
             call.arg = None
             return
-        bucket.remove(call)
-        if not bucket:
-            del self._buckets[call.when]
+        armed.remove(call)
+        if not armed:
+            del self._armed[call.when]
 
     def _advance(self, when: int) -> None:
         """Move the clock to ``when`` and swap that tick's buckets in as
-        the new lanes. Only called with lanes fully consumed."""
+        the new lanes, splicing its live armed entries into the normal one
+        (see :meth:`arm`). A tick with no entries only moves the clock: the
+        consumed lanes stay. Only called with lanes fully consumed."""
         self.now = when
+        normal = self._buckets.pop(when, None)
+        if when in self._armed:
+            calls = self._armed.pop(when)
+            self._seq += len(calls)
+            if normal is None:
+                normal = calls  # no bucket was ever made: every slot is 0
+            else:
+                for offset, call in enumerate(calls):
+                    normal.insert(call.slot + offset, call)
         urgent = self._buckets_urgent
-        self._lane_urgent = urgent.pop(when, []) if urgent else []
-        self._lane_normal = self._buckets.pop(when, [])
+        if urgent and when in urgent:
+            self._lane_urgent = urgent.pop(when)
+            self._lane_normal = normal if normal is not None else []
+        elif normal is not None:
+            self._lane_urgent = []
+            self._lane_normal = normal
+        else:
+            return  # an empty tick
         self._cursor_urgent = self._cursor_normal = 0
 
     def peek(self) -> int | None:

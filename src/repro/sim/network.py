@@ -89,8 +89,10 @@ class Request:
 
 class _Reply(Event):
     """The caller's side of one RPC: the event :meth:`Network.request`
-    returns, plus the kernel handle of its deadline while that is armed
-    (withdrawn when the reply is consumed, dropped when it fires)."""
+    returns, plus the :meth:`~repro.sim.core.Environment.arm` handle of
+    its deadline while that is armed (withdrawn when the reply is
+    consumed, dropped when it fires). A deadline withdrawn before it
+    comes due never enters the queue."""
 
     __slots__ = ("dst", "deadline")
 
@@ -327,7 +329,7 @@ class Network:
         self.send(src, dst, payload=request, size_bytes=size_bytes)
         if timeout_ns is not None:
             reply_event.dst = dst
-            reply_event.deadline = self.env.defer(timeout_ns, self._expire, reply_event)
+            reply_event.deadline = self.env.arm(timeout_ns, self._expire, reply_event)
         return reply_event
 
     def _expire(self, reply_event: "_Reply") -> None:

@@ -26,14 +26,19 @@ class _LockState:
 class _Wait(Event):
     """What :meth:`LockTable.acquire` returns: the grant event, plus —
     while the request waits in a queue — who waits for what and the
-    kernel handle of the wait deadline (withdrawn by the grant, dropped
-    when it fires)."""
+    :meth:`~repro.sim.core.Environment.arm` handle of the wait deadline
+    (withdrawn by the grant, dropped when it fires). A wait granted before
+    its deadline comes due never puts the deadline in the queue."""
 
     __slots__ = ("txid", "lock_key", "deadline")
 
 
 class LockTable:
-    """Row-granularity exclusive locks for one shard."""
+    """Row-granularity exclusive locks for one shard.
+
+    A request that must wait arms a deadline (``Environment.arm``); the
+    grant withdraws it, so a wait that ends before its timeout costs the
+    kernel no queue entry for it."""
 
     def __init__(self, env: Environment, default_timeout_ns: int = seconds(1)):
         self.env = env
@@ -88,7 +93,7 @@ class LockTable:
         state.waiters.append((txid, done))
         done.txid = txid
         done.lock_key = lock_key
-        done.deadline = env.defer(
+        done.deadline = env.arm(
             timeout_ns if timeout_ns is not None else self.default_timeout_ns,
             self._expire, done)
         return done

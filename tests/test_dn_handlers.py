@@ -166,16 +166,17 @@ class TestRequestEventCost:
     def test_one_rpc_schedules_a_pinned_number_of_events(self):
         """Queue pushes from sending one request until its reply fires. A
         read is the request message, the CPU timeout and the reply
-        message. An update adds the log shipper's two batch timers (one
-        per replica); a local commit adds the two GClock commit-wait
-        timeouts. The handler adds no kickoff and no completion
-        (``Environment.serve``), and a commit nobody reads around resolves
-        without an event. Nor are the waits that are already satisfied
-        pushed: on an idle cluster each is the last entry of its tick, so
-        ``Environment.resolve`` grants it in place. Those are the free
-        worker-pool slot (one push fewer on each call), the free row lock
-        (one more on the update) and the reply, whose delivery ends its
-        tick."""
+        message, and so is an update: the log shipper's two batch timers
+        (one per replica) are armed (``Environment.arm``), so each counts
+        when it comes due, and both come due after the reply. A local
+        commit adds the two GClock commit-wait timeouts. The handler adds
+        no kickoff and no completion (``Environment.serve``), and a commit
+        nobody reads around resolves without an event. Nor are the waits
+        that are already satisfied pushed: on an idle cluster each is the
+        last entry of its tick, so ``Environment.resolve`` grants it in
+        place. Those are the free worker-pool slot (one push fewer on each
+        call), the free row lock (one more on the update) and the reply,
+        whose delivery ends its tick."""
         db, cn, primary, txid = idle_cluster_with_one_row()
         env = db.env
         calls = [("read", None, None, "t", (1,)),
@@ -192,7 +193,7 @@ class TestRequestEventCost:
 
         env.run(until=env.process(driver()))
         assert replies["update"][0] == replies["commit_local"][0] == "ok"
-        assert scheduled == {"read": 3, "update": 5, "commit_local": 5}
+        assert scheduled == {"read": 3, "update": 3, "commit_local": 5}
 
     def test_a_reply_that_shares_its_tick_is_still_pushed(self):
         """The same read twice; the second time an entry queued at the

@@ -9,8 +9,10 @@ order. These tests check exactly that against a reference heapq model,
 over randomized programs that schedule urgent/normal events, deferred
 callbacks and timeouts — including re-entrant scheduling from inside
 callbacks (same-tick lane appends, the calendar queue's trickiest path) —
-and, with withdrawals, that ``Environment.withdraw`` is the reference heap
-with the withdrawn entries skipped.
+and, with withdrawals, that ``Environment.arm`` / ``Environment.withdraw``
+is the reference heap with the withdrawn entries skipped: an armed entry
+keeps its arm-time place, and counts as a push only if it is still armed
+when its tick comes.
 
 The pinned-digest test in tests/test_perf_caches.py covers the same
 invariant end-to-end on the full cluster scenario; this file covers it
@@ -59,6 +61,7 @@ KINDS = {
     "event_normal": PRIORITY_NORMAL,
     "defer": PRIORITY_NORMAL,    # defer() uses the normal lane/buckets
     "timeout": PRIORITY_NORMAL,  # Timeout schedules itself normally
+    "arm": PRIORITY_NORMAL,      # arm() is spliced into the normal lane
 }
 
 
@@ -66,16 +69,18 @@ KINDS = {
 def programs(draw, withdrawals: bool = False):
     """A forest of schedule operations. Each node fires at
     ``parent_fire_time + delay`` and schedules its children from inside
-    its callback (re-entrant scheduling). With ``withdrawals``, a firing
-    node first withdraws each of its victims (node ids) that is a
-    ``defer`` still waiting to fire — delays are small, so victims are
-    found in future buckets, in the running tick's lane, and at
-    timestamps the children then schedule into again."""
+    its callback (re-entrant scheduling). With ``withdrawals``, some nodes
+    are armed, and a firing node first withdraws each of its victims
+    (node ids) that is an ``arm`` still waiting to fire — delays are
+    small, so victims are found in the armed ledger, in the running
+    tick's lane, and at timestamps the children then schedule into
+    again."""
     ids = itertools.count()
+    kinds = sorted(KINDS) if withdrawals else sorted(set(KINDS) - {"arm"})
 
     def node(depth: int) -> tuple:
         delay = draw(st.integers(min_value=0, max_value=30))
-        kind = draw(st.sampled_from(sorted(KINDS)))
+        kind = draw(st.sampled_from(kinds))
         children = []
         if depth < 2:
             for _ in range(draw(st.integers(min_value=0, max_value=3))):
@@ -92,42 +97,46 @@ def programs(draw, withdrawals: bool = False):
 
 def reference_order(program: list) -> tuple[list[tuple[int, int]], int]:
     """Dispatch order under the old kernel's model: a single heap ordered
-    by (when, priority, seq), seq bumped on every push; a withdrawn entry
-    keeps its seq and is skipped when popped. Returns the order and the
-    number of pushes."""
+    by (when, priority, seq), seq bumped on every push; an armed entry is
+    pushed when it is armed, and a withdrawn one keeps its seq and is
+    skipped when popped. Returns the order and the number of pushes that
+    count: an armed entry withdrawn before its tick never reached the
+    queue."""
     heap: list = []
     seq = itertools.count()
     fired: list[tuple[int, int]] = []
-    waiting: set[int] = set()  # defer nodes pushed and not yet popped
+    waiting: dict[int, int] = {}  # arm nodes pushed and not yet popped: due
     withdrawn: set[int] = set()
+    never_due = 0
 
     def push(node, now):
         node_id, delay, kind = node[:3]
         heapq.heappush(heap, (now + delay, KINDS[kind], next(seq), node))
-        if kind == "defer":
-            waiting.add(node_id)
+        if kind == "arm":
+            waiting[node_id] = now + delay
 
     for node in program:
         push(node, 0)
     while heap:
         when, _priority, _seq, node = heapq.heappop(heap)
         node_id, _delay, _kind, children, victims = node
-        waiting.discard(node_id)
+        waiting.pop(node_id, None)
         if node_id in withdrawn:
             continue
         fired.append((node_id, when))
         for victim in victims:
-            if victim in waiting:
-                waiting.discard(victim)
+            due = waiting.pop(victim, None)
+            if due is not None:
                 withdrawn.add(victim)
+                never_due += due > when
         for child in children:
             push(child, when)
-    return fired, next(seq)
+    return fired, next(seq) - never_due
 
 
 def schedule_on(env: Environment, node: tuple, fired: list,
                 handles: dict, last=None) -> None:
-    """``handles`` maps a waiting defer node to its kernel handle; a node
+    """``handles`` maps a waiting arm node to its kernel handle; a node
     leaves it when it fires or is withdrawn. ``last(node_id)``, if given,
     runs as the last action of every defer node's firing (an RPC reply's
     delivery, a grant; see :func:`rpc_programs`, :func:`grant_programs`)."""
@@ -146,7 +155,9 @@ def schedule_on(env: Environment, node: tuple, fired: list,
             last(node_id)
 
     if kind == "defer":
-        handles[node_id] = env.defer(delay, fire, None)
+        env.defer(delay, fire, None)
+    elif kind == "arm":
+        handles[node_id] = env.arm(delay, fire, None)
     elif kind == "timeout":
         timer = Timeout(env, delay)
         timer.callbacks.append(fire)
@@ -185,9 +196,9 @@ class TestCalendarQueueOrder:
     @given(programs(withdrawals=True), st.integers(min_value=0, max_value=17))
     def test_withdrawals_match_heap_reference_with_entries_skipped(
             self, program, stride):
-        """Withdrawn entries never run, everything else keeps its slot and
-        its sequence number, drained (stride 0) or in run(until=) chunks —
-        which also walks the empty ticks a withdrawal leaves behind."""
+        """Withdrawn entries never run, everything else keeps its place,
+        drained (stride 0) or in run(until=) chunks — which also walks the
+        empty ticks a withdrawal leaves behind."""
         env = Environment()
         fired: list[tuple[int, int]] = []
         handles: dict = {}
@@ -199,21 +210,36 @@ class TestCalendarQueueOrder:
         else:
             env.run()
         assert (fired, env.events_scheduled) == reference_order(program)
-        assert not handles and not env._buckets
+        assert not handles and not env._buckets and not env._armed
 
     def test_withdrawn_future_entry_leaves_an_empty_tick(self):
+        """A withdrawn arm never reaches the queue: no sequence number, no
+        bucket. Its timestamp stays on the heap, and its tick only moves
+        the clock. A defer to an instant that is already armed pushes the
+        timestamp a second time; the copy is one more empty tick."""
         env = Environment()
         fired: list[str] = []
-        handle = env.defer(10, fired.append, "withdrawn")
+        handle = env.arm(10, fired.append, "withdrawn")
         env.withdraw(handle)
-        assert not env._buckets and env.peek() == 10  # bare timestamp stays
-        env.defer(10, fired.append, "rescheduled")  # same timestamp again
-        env.defer(20, fired.append, "later")
+        assert not env._armed and not env._buckets and env.peek() == 10
+        assert env.events_scheduled == 0
+        lanes = env._lane_urgent, env._lane_normal
+        env.run(until=10)
+        assert env.now == 10
+        assert env._lane_urgent is lanes[0] and env._lane_normal is lanes[1]
+        env.arm(10, fired.append, "armed")
+        handle = env.arm(10, fired.append, "withdrawn")
+        env.defer(10, fired.append, "deferred")
+        env.withdraw(handle)
+        assert env._times == [20, 20]
         env.run()
-        assert fired == ["rescheduled", "later"]
-        assert env.now == 20 and env.events_scheduled == 3
+        assert fired == ["armed", "deferred"]
+        assert env.now == 20 and env.events_scheduled == 2
 
     def test_withdrawal_in_the_running_tick_fires_as_a_noop(self):
+        """Withdrawn inside its own tick, after the splice: the entry stays
+        in the lane as a no-op and keeps the sequence number the splice
+        consumed."""
         env = Environment()
         fired: list[str] = []
         handles = {}
@@ -223,10 +249,67 @@ class TestCalendarQueueOrder:
             env.withdraw(handles.pop("second"))
 
         env.defer(5, first, None)
-        handles["second"] = env.defer(5, fired.append, "second")
+        handles["second"] = env.arm(5, fired.append, "second")
         env.defer(5, fired.append, "third")
+        assert env.events_scheduled == 2
         env.run()
-        assert fired == ["first", "third"]
+        assert fired == ["first", "third"] and env.events_scheduled == 3
+
+    @pytest.mark.parametrize("later", ["defer", "timeout", "urgent"])
+    @pytest.mark.parametrize("before", [False, True])
+    def test_push_from_a_later_tick_lands_behind_the_arm(self, later, before):
+        """An arm for t=10 made at t=0 runs ahead of a normal entry that a
+        t=5 tick pushes for t=10 (it pushes the timestamp again), and behind
+        one pushed before it; an urgent entry runs first whatever its
+        sequence number."""
+        env = Environment()
+        fired: list[str] = []
+        if before:
+            env.defer(10, fired.append, "before")
+        env.arm(10, fired.append, "armed")
+
+        def push_later(_arg) -> None:
+            if later == "defer":
+                env.defer(5, fired.append, later)
+            elif later == "timeout":
+                Timeout(env, 5).callbacks.append(
+                    lambda _event: fired.append(later))
+            else:
+                event = Event(env)
+                event.callbacks.append(lambda _event: fired.append(later))
+                env.schedule(event, delay=5, priority=PRIORITY_URGENT)
+
+        env.defer(5, push_later, None)
+        env.run()
+        expected = ["before"] * before + ["armed"]
+        if later == "urgent":
+            expected.insert(0, later)
+        else:
+            expected.append(later)
+        assert fired == expected
+        assert env.now == 10 and env.events_scheduled == 3 + before
+
+    @pytest.mark.parametrize("first_stays", [False, True])
+    def test_two_arms_for_one_instant_with_a_withdrawal_between(
+            self, first_stays):
+        """Each arm is spliced at its slot plus the number of live arms
+        spliced before it: a withdrawn arm leaves no gap, and a defer made
+        between two arms stays between them."""
+        env = Environment()
+        fired: list[str] = []
+        env.defer(10, fired.append, "p0")
+        first = env.arm(10, fired.append, "first")
+        env.defer(10, fired.append, "p1")
+        between = env.arm(10, fired.append, "between")
+        env.withdraw(between if first_stays else first)
+        env.arm(10, fired.append, "second")
+        env.defer(10, fired.append, "p2")
+        env.run()
+        kept = "first" if first_stays else "between"
+        order = ["p0", "first", "p1", "between", "second", "p2"]
+        assert fired == [name for name in order
+                         if name not in ("first", "between") or name == kept]
+        assert env.events_scheduled == 5
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=20), st.booleans(),
@@ -235,7 +318,7 @@ class TestCalendarQueueOrder:
     def test_withdrawing_a_fired_entry_is_a_noop(self, delay, same_tick,
                                                  later):
         """A handle whose ``fn`` already ran names nothing: withdrawing it,
-        in its own tick or after, cancels none of the defers made since,
+        in its own tick or after, cancels none of the arms made since,
         whatever instant they were made for."""
         env = Environment()
         fired: list = []
@@ -243,10 +326,10 @@ class TestCalendarQueueOrder:
 
         def defer_then_withdraw(_arg) -> None:
             for index, later_delay in enumerate(later):
-                env.defer(later_delay, fired.append, index)
+                env.arm(later_delay, fired.append, index)
             env.withdraw(handles["done"])
 
-        handles["done"] = env.defer(delay, fired.append, "done")
+        handles["done"] = env.arm(delay, fired.append, "done")
         if same_tick:
             env.defer(delay, defer_then_withdraw, None)
         else:

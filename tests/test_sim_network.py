@@ -203,7 +203,7 @@ def test_completed_rpc_leaves_no_deadline_behind(answer):
             outcomes.append((yield net.request("a", "b", "x", timeout_ns=seconds(2))))
         except NetworkError as exc:
             outcomes.append(str(exc))
-        assert not env._buckets  # the deadline ended with the request
+        assert not env._buckets and not env._armed  # ended with the request
         outcomes.append(env.now)
 
     env.process(client())
@@ -215,21 +215,27 @@ def test_completed_rpc_leaves_no_deadline_behind(answer):
 
 def test_timed_round_trips_retain_only_in_flight_entries():
     # Counted, not timed: 10 000 answered RPCs under an hour-long deadline
-    # must not leave 10 000 timers in the calendar queue.
+    # must not leave 10 000 timers in the calendar queue or the armed
+    # ledger. Deadlines are armed, never bucketed, so the ledger is where
+    # a leak would show; the in-flight request's own deadline is its one
+    # entry, sampled while the request waits.
     env, net = make_net()
     net.set_handler("b", lambda msg: msg.payload.reply(msg.payload.body))
-    high_water = [0, 0]
+    high_water = [0, 0, 0]
 
     def client():
         for index in range(10_000):
-            value = yield net.request("a", "b", index, timeout_ns=seconds(3600))
+            reply = net.request("a", "b", index, timeout_ns=seconds(3600))
+            armed = sum(len(entries) for entries in env._armed.values())
+            high_water[2] = max(high_water[2], armed)
+            value = yield reply
             assert value == index
             entries = sum(len(bucket) for bucket in env._buckets.values())
             high_water[0] = max(high_water[0], entries)
             high_water[1] = max(high_water[1], len(env._buckets))
 
     env.run(until=env.process(client()))
-    assert high_water == [0, 0]
+    assert high_water == [0, 0, 1]
 
 
 def test_two_sends_landing_at_one_instant_are_both_delivered_in_order():

@@ -125,14 +125,19 @@ def test_grant_in_the_deadline_tick_wins_when_the_release_runs_first():
 
 def test_contended_grants_retain_only_in_flight_entries():
     # Counted, not timed: 10 000 waits that end in a grant must not leave
-    # 10 000 wait deadlines in the calendar queue.
+    # 10 000 wait deadlines in the calendar queue or the armed ledger.
+    # Wait deadlines are armed, never bucketed, so the ledger is where a
+    # leak would show.
     env = Environment()
     locks = LockTable(env, default_timeout_ns=seconds(3600))
-    high_water = [0, 0]
+    high_water = [0, 0, 0]
 
     def txn(me):
         for turn in range(5_000):
-            yield locks.acquire((me, turn), "t", (1,))
+            grant = locks.acquire((me, turn), "t", (1,))
+            armed = sum(len(entries) for entries in env._armed.values())
+            high_water[2] = max(high_water[2], armed)
+            yield grant
             yield env.timeout(1_000)  # the other side queues up meanwhile
             locks.release_all((me, turn))
             entries = sum(len(bucket) for bucket in env._buckets.values())
@@ -142,7 +147,8 @@ def test_contended_grants_retain_only_in_flight_entries():
     first, second = env.process(txn(0)), env.process(txn(1))
     env.run(until=env.all_of([first, second]))
     assert locks.wait_count >= 9_999
-    assert max(high_water) <= 2  # the other side's sleep and wait deadline
+    assert max(high_water[:2]) <= 1  # the other side's sleep
+    assert 1 <= high_water[2] <= 2  # at most both sides' wait deadlines
 
 
 def test_release_all_frees_every_key():
