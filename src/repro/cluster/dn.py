@@ -265,8 +265,9 @@ class DataNode(ClusterNode):
             else:
                 _kind, replica, lsn = payload
                 applied_lsn = 0
-            self.acks.on_ack(replica, lsn, applied_lsn)
+            self.acks.record(replica, lsn, applied_lsn)
             self._maybe_truncate_wal()
+            self.acks.release()
 
     def _maybe_truncate_wal(self) -> None:
         """Drop the WAL prefix every replica has already applied.
@@ -302,15 +303,33 @@ class DataNode(ClusterNode):
             self._redo_buffer[first] = records
             self._request_catchup(src)
             return
-        self._enqueue_and_ack(src, records)
-        self._flush_buffer(src)
+        self._accept(src, records)
 
-    def _enqueue_and_ack(self, src: str, records: list) -> None:
+    def _accept(self, src: str, records: list) -> None:
+        """Ack ``records`` and every parked batch they make contiguous,
+        then hand them all to the replayer as the entry's last action
+        (``Replayer.enqueue`` may resume it in place)."""
+        batches: list[list] = []
+        self._ack(src, records, batches)
+        while True:
+            ready = [first for first in self._redo_buffer
+                     if first <= self._enqueued_lsn + 1]
+            if not ready:
+                break
+            for first in sorted(ready):
+                self._ack(src, self._redo_buffer.pop(first), batches)
+        if self._redo_buffer:
+            self._request_catchup(src)
+        self.replayer.enqueue(*batches)
+
+    def _ack(self, src: str, records: list, batches: list) -> None:
+        """Ack the records of a contiguous batch that are new, and add them
+        to ``batches`` for the replayer."""
         fresh = [record for record in records
                  if record.lsn > self._enqueued_lsn]
         if not fresh:
             return
-        self.replayer.enqueue(fresh)
+        batches.append(fresh)
         self._enqueued_lsn = fresh[-1].lsn
         # Ack persistence of the contiguous prefix (quorum is on receipt);
         # piggyback the applied watermark so the primary can truncate the
@@ -319,17 +338,6 @@ class DataNode(ClusterNode):
                           ("redo_ack", self.name, self._enqueued_lsn,
                            self.store.applied_lsn),
                           size_bytes=64)
-
-    def _flush_buffer(self, src: str) -> None:
-        while True:
-            ready = [first for first in self._redo_buffer
-                     if first <= self._enqueued_lsn + 1]
-            if not ready:
-                break
-            for first in sorted(ready):
-                self._enqueue_and_ack(src, self._redo_buffer.pop(first))
-        if self._redo_buffer:
-            self._request_catchup(src)
 
     def _request_catchup(self, src: str) -> None:
         if self._catchup_inflight:
@@ -345,10 +353,7 @@ class DataNode(ClusterNode):
             self._catchup_inflight = False
             if not event.ok or self.replayer is None:
                 return
-            records = event.value
-            if records:
-                self._enqueue_and_ack(src, records)
-            self._flush_buffer(src)
+            self._accept(src, event.value)
 
         request.add_callback(on_reply)
 

@@ -87,21 +87,41 @@ class AckTracker:
 
     def on_ack(self, replica: str, lsn: int, applied_lsn: int = 0) -> None:
         """A replica acknowledged persistence up to ``lsn`` (and, when the
-        ack carries it, replay up to ``applied_lsn``)."""
+        ack carries it, replay up to ``applied_lsn``): :meth:`record` it,
+        then :meth:`release` the commits it satisfies. The release may
+        resume a commit in place, so it must be the running entry's last
+        action; a caller with more to do calls the two halves itself."""
+        self.record(replica, lsn, applied_lsn)
+        self.release()
+
+    def record(self, replica: str, lsn: int, applied_lsn: int = 0) -> None:
+        """Raise ``replica``'s acked and applied watermarks."""
         if lsn > self.acked.get(replica, 0):
             self.acked[replica] = lsn
         if applied_lsn > self.applied.get(replica, 0):
             self.applied[replica] = applied_lsn
+
+    def release(self) -> None:
+        """Wake the commit waiters the recorded acks now satisfy. A lone
+        one goes through :meth:`Environment.resolve`, which resumes it
+        here when its wake-up would be the next entry anyway; several are
+        pushed with ``succeed`` in list order (after the first push none
+        could be resumed in place)."""
         if not self._waiters:
             return
-        still_waiting = []
+        still_waiting, ready = [], []
         for waiter in self._waiters:
             if self._satisfied(waiter.lsn, waiter.policy):
                 if not waiter.event.triggered:
-                    waiter.event.succeed(True)
+                    ready.append(waiter.event)
             else:
                 still_waiting.append(waiter)
         self._waiters = still_waiting
+        if len(ready) == 1:
+            self.env.resolve(ready[0], True, True)
+            return
+        for event in ready:
+            event.succeed(True)
 
     def wait_for(self, lsn: int, policy: ReplicationPolicy) -> Event:
         """Event that fires once ``policy`` is satisfied for ``lsn``.

@@ -34,17 +34,25 @@ class Replayer:
         #: sequential ints, so ``max_seen_lsn - store.applied_lsn`` is the
         #: exact number of received-but-unapplied records.
         self.max_seen_lsn = 0
-        self.busy = False
         self._process = env.process(self._run(), name=f"replay:{store.name}")
 
-    def enqueue(self, records: list[RedoRecord]) -> None:
-        """Hand a received batch to the replayer (called by the DN's
-        network handler on batch arrival)."""
-        self._queue.append(records)
-        if records and records[-1].lsn > self.max_seen_lsn:
-            self.max_seen_lsn = records[-1].lsn
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
+    def enqueue(self, *batches: list[RedoRecord]) -> None:
+        """Hand received batches to the replayer, in order (called by the
+        DN's network handler on batch arrival).
+
+        An idle replayer is woken through :meth:`Environment.resolve`: when
+        the wake-up would be the next entry anyway, the replayer resumes
+        inside this call and starts on the first batch. So the hand-off
+        must be the running entry's last action: send the acks first.
+        """
+        queue = self._queue
+        for records in batches:
+            queue.append(records)
+            if records and records[-1].lsn > self.max_seen_lsn:
+                self.max_seen_lsn = records[-1].lsn
+        wake = self._wake
+        if batches and wake is not None and not wake.triggered:
+            self.env.resolve(wake, True, None)
 
     @property
     def backlog_batches(self) -> int:
@@ -54,11 +62,9 @@ class Replayer:
         try:
             while True:
                 if not self._queue:
-                    self.busy = False
                     self._wake = Event(self.env)
                     yield self._wake
                     self._wake = None
-                self.busy = True
                 records = self._queue.popleft()
                 started = self.env.now
                 delay = round(len(records) * self.apply_ns_per_record
@@ -92,4 +98,4 @@ class Replayer:
         except Interrupt:
             # The owning node stopped replaying (e.g. it was promoted to
             # primary); drain nothing further.
-            self.busy = False
+            pass

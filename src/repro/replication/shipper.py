@@ -13,9 +13,16 @@ whose freshness is already lost.
 The shipper is pure callbacks — an append either triggers an inline flush
 (size threshold) or arms one flush timer for the whole window
 (``Environment.arm``), so an idle channel costs zero simulation events and
-a busy one costs one timer per batch rather than a wake event per record.
-A timer that a size flush or a pause withdraws before it is due costs no
-event at all; one that fires is counted when it comes due.
+a busy one costs one timer per batch per primary rather than a wake event
+per record. A primary's shippers all see an append at once and usually arm
+the same instant, so a shipper whose base window ends where another
+shipper of its WAL armed last (``Environment.armed_tail``: nothing armed
+or queued for that instant since) joins that timer instead of arming its
+own; when it fires it flushes its members in join order, exactly where
+their own timers would have fired back to back. A backlog-widened window,
+``resume()`` and construction always arm their own. A timer that a size
+flush or a pause withdraws (the last member leaving) before it is due
+costs no event at all; one that fires is counted when it comes due.
 
 Byte accounting per flush (this is where the paper's §V-A optimisations
 act):
@@ -75,6 +82,14 @@ def replica_backlog(primary, replica_name: str) -> typing.Callable[[], int]:
     return backlog
 
 
+def _flush_members(members: list) -> None:
+    """What a flush timer runs: each member shipper's flush, in join order.
+    A member leaves the list when it leaves the timer, so none is paused."""
+    for shipper in members:
+        shipper._timer = None  # the entry's arg refers back: break the cycle
+        shipper._flush()
+
+
 class LogShipper:
     """Ships one primary WAL to one replica endpoint."""
 
@@ -101,7 +116,8 @@ class LogShipper:
         self.paused = False
         self._batch_opened_at = env.now
         #: :meth:`~repro.sim.core.Environment.arm` handle of the flush
-        #: timer; a size flush or a pause withdraws it before it is due.
+        #: timer this shipper is a member of (its ``arg`` is the member
+        #: list); a size flush or a pause leaves it before it is due.
         self._timer = None
         # Catch up on anything already in the WAL, then follow appends.
         for record in wal.records_from(0):
@@ -126,7 +142,8 @@ class LogShipper:
             self._cancel_timer()
             self._flush()
         elif self._timer is None:
-            self._arm(self._window_ns())
+            window = self._window_ns()
+            self._arm(window, join=window == self.config.flush_interval_ns)
 
     def _window_ns(self) -> int:
         base = self.config.flush_interval_ns
@@ -139,19 +156,32 @@ class LogShipper:
         self.widened_windows += 1
         return base * min(widen, self.config.max_widen)
 
-    def _arm(self, delay_ns: int) -> None:
+    def _arm(self, delay_ns: int, join: bool = False) -> None:
+        """Arm a flush timer ``delay_ns`` from now; with ``join``, join the
+        timer another shipper of this WAL armed last for that instant
+        instead, when nothing was armed or queued for it since. Every
+        member's work is a flush of its own channel, so none can change
+        what a later member's flush does."""
         self._cancel_timer()
-        self._timer = self.env.arm(delay_ns, self._on_timer, None)
+        env = self.env
+        if join:
+            call = env.armed_tail(env.now + delay_ns)
+            if (call is not None and call.fn is _flush_members
+                    and call.arg[0].wal is self.wal):
+                call.arg.append(self)
+                self._timer = call
+                return
+        self._timer = env.arm(delay_ns, _flush_members, [self])
 
     def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self.env.withdraw(self._timer)
+        """Leave the flush timer; the last member out withdraws it."""
+        call = self._timer
+        if call is not None:
             self._timer = None
-
-    def _on_timer(self, _arg) -> None:
-        self._timer = None
-        if not self.paused:
-            self._flush()
+            members = call.arg
+            members.remove(self)
+            if not members:
+                self.env.withdraw(call)
 
     def _flush(self) -> None:
         records = self._pending

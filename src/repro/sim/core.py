@@ -23,6 +23,9 @@ seq)`` order without building the tuples (DESIGN.md §4g):
   that instant comes due the live ones are spliced into the normal lane
   at ``slot`` plus the number spliced before them, which is where their
   push would have stood. Buckets only grow, so the slot stays exact.
+  :meth:`Environment.armed_tail` names the entry a new arm for an instant
+  would land right behind, so a caller can add its work to that entry
+  instead: the shippers of one WAL share one flush timer that way.
 - *A min-heap of distinct future timestamps*: each enters when its bucket
   or armed list is made (rarely twice). Advancing the clock pops one and
   swaps its entries in as the lanes; one left with nothing, because every
@@ -39,7 +42,10 @@ triggered event: an RPC reply delivered as the last entry of its tick
 (``Network._deliver``), and three waits already satisfied when they are
 made: a free worker-pool slot (``Semaphore.acquire``), a
 free or re-entrant row lock (``LockTable.acquire``) and a fan-out whose
-last reply has just landed (``settle``). :meth:`Environment.serve`
+last reply has just landed (``settle``); and two hand-offs that end the
+entry making them: a redo batch handed to an idle replayer
+(``Replayer.enqueue``) and an ack that satisfies one sync commit
+(``AckTracker.release``). :meth:`Environment.serve`
 applies it to a handler's kickoff, and drops the completion nobody joins.
 :meth:`Environment.defer` makes the pushes that remain cheaper: it queues
 a bare ``fn(arg)`` with no :class:`Event`. Nothing is recycled, so no
@@ -333,7 +339,8 @@ class Environment:
         ``resolve`` returns, the running entry does nothing but hand the
         event to its waiter. Either the call is the entry's last action
         (its callbacks are registered already: ``Network._deliver``
-        delivering a reply, ``settle``'s last child landing), or the
+        delivering a reply, ``settle``'s last child landing, a redo batch
+        handed to an idle replayer, an ack releasing one commit), or the
         caller yields the event at once and that yield ends the entry (a
         free ``Semaphore`` slot or ``LockTable`` lock, a ``settle`` whose
         children have all landed). A generator resumed as one of several
@@ -449,6 +456,27 @@ class Environment:
         armed.remove(call)
         if not armed:
             del self._armed[call.when]
+
+    def armed_tail(self, when: int) -> _Call | None:
+        """The entry armed last for instant ``when``, if an entry armed for
+        ``when`` now would be spliced right behind it: nothing armed after
+        it is still live and nothing has been queued for ``when`` since
+        (its bucket still holds ``slot`` entries). Else None.
+
+        A caller may then add its work to that entry instead of arming its
+        own: the two run in the same order, back to back, and one sequence
+        number is saved when the instant comes due. The caller must make
+        sure nothing the entry runs first could change what the added work
+        does, and must withdraw the entry only when no work is left in it.
+        """
+        armed = self._armed.get(when)
+        if armed is None:
+            return None
+        call = armed[-1]
+        bucket = self._buckets.get(when)
+        if call.slot != (0 if bucket is None else len(bucket)):
+            return None
+        return call
 
     def _advance(self, when: int) -> None:
         """Move the clock to ``when`` and swap that tick's buckets in as

@@ -166,9 +166,9 @@ class TestRequestEventCost:
     def test_one_rpc_schedules_a_pinned_number_of_events(self):
         """Queue pushes from sending one request until its reply fires. A
         read is the request message, the CPU timeout and the reply
-        message, and so is an update: the log shipper's two batch timers
-        (one per replica) are armed (``Environment.arm``), so each counts
-        when it comes due, and both come due after the reply. A local
+        message, and so is an update: the primary's two log shippers (one
+        per replica) share one armed batch timer (``Environment.arm``),
+        which counts when it comes due, after the reply. A local
         commit adds the two GClock commit-wait timeouts. The handler adds
         no kickoff and no completion (``Environment.serve``), and a commit
         nobody reads around resolves without an event. Nor are the waits

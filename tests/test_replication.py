@@ -1,5 +1,6 @@
 """Unit tests for replication: shipper, replayer, replica store, quorums."""
 
+from repro import ClusterConfig, build_cluster, three_city
 from repro.replication import AckTracker, LogShipper, ReplicationPolicy, ShipperConfig
 from repro.replication.replayer import Replayer
 from repro.replication.replica import ReplicaStore
@@ -37,9 +38,9 @@ def make_pair(shipper_config=None, latency=ms(10)):
     def replica_handler(message):
         kind, _src, records = message.payload
         assert kind == "redo_batch"
-        replayer.enqueue(records)
         network.send("replica", "primary",
                      ("redo_ack", "replica", records[-1].lsn), size_bytes=64)
+        replayer.enqueue(records)  # may resume the replayer: last action
 
     network.set_handler("replica", replica_handler)
     acks = AckTracker(env, "east", {"replica": "west"})
@@ -331,6 +332,81 @@ class TestQuorum:
         tracker.on_ack("r1", 30)
         assert tracker.acked["r1"] == 50
 
+    @staticmethod
+    def commits_waiting_on(env, tracker, names):
+        """Serve one sync commit per name, each waiting for LSN 10; a
+        resumed commit logs its name and the time, and returns without
+        pushing anything."""
+        resumed = []
+
+        def commit(name):
+            yield tracker.wait_for(10, ReplicationPolicy.remote_quorum(1))
+            resumed.append((name, env.now))
+
+        for name in names:
+            env.serve(commit(name))
+        return resumed
+
+    @staticmethod
+    def ack(env, tracker, resumed, seen):
+        """r1's ack for LSN 10; logs (commits resumed inside the call,
+        entries it pushed)."""
+        before = env.events_scheduled
+        tracker.on_ack("r1", 10)
+        seen.append((list(resumed), env.events_scheduled - before))
+
+    def test_an_ack_that_satisfies_one_commit_resumes_it_in_place(self):
+        env = Environment()
+        tracker = AckTracker(env, "east", {"r1": "west"})
+        resumed = self.commits_waiting_on(env, tracker, ["a"])
+        seen = []
+        # The ack is the only entry of its tick.
+        env.defer(us(5), lambda _: self.ack(env, tracker, resumed, seen), None)
+        env.run()
+        assert seen == [([("a", us(5))], 0)]
+
+    def test_an_ack_that_satisfies_two_commits_pushes_both_in_order(self):
+        env = Environment()
+        tracker = AckTracker(env, "east", {"r1": "west"})
+        resumed = self.commits_waiting_on(env, tracker, ["a", "b"])
+        seen = []
+        env.defer(us(5), lambda _: self.ack(env, tracker, resumed, seen), None)
+        env.run()
+        assert seen == [([], 2)]
+        assert resumed == [("a", us(5)), ("b", us(5))]
+
+
+def quiet_three_city():
+    """An idle Three-City cluster (no ROR control plane), and shard 0's
+    primary and two replicas, which sit in the two other cities."""
+    db = build_cluster(ClusterConfig.globaldb(three_city(),
+                                              ror_enabled=False))
+    db.run_for(0.3)
+    return db, db.primaries[0], db.replicas[0]
+
+
+def watch_batches(replica, share_the_tick=False):
+    """Wrap ``replica``'s notice handler; for each redo batch it receives,
+    log (entries pushed while handling it, batches still queued at the
+    replayer afterwards). With ``share_the_tick``, queue one entry for the
+    same instant first, so the batch's delivery does not end its tick."""
+    env = replica.env
+    handle = replica._on_notice
+    log = []
+
+    def watched(payload, message):
+        if payload[0] != "redo_batch":
+            return handle(payload, message)
+        if share_the_tick:
+            env.defer(0, log.append, "behind")
+        before = env.events_scheduled
+        handle(payload, message)
+        log.append((env.events_scheduled - before,
+                    replica.replayer.backlog_batches))
+
+    replica._on_notice = watched
+    return log
+
 
 class TestEndToEndSyncCommit:
     def test_sync_commit_waits_for_replica_ack(self):
@@ -347,3 +423,37 @@ class TestEndToEndSyncCommit:
         when = env.run(until=env.process(waiter()))
         # One-way shipping (>=20ms incl. batching) plus the ack trip back.
         assert when >= ms(40)
+
+    def test_a_lone_redo_batch_resumes_its_replayer_in_place(self):
+        db, primary, (replica, _other) = quiet_three_city()
+        log = watch_batches(replica)
+        primary.engine.heartbeat(12345)
+        db.run_for(0.3)
+        # The ack and the replay timer; the replayer took the batch.
+        assert log == [(2, 0)]
+        assert replica.store.max_commit_ts == 12345
+
+    def test_a_redo_batch_that_shares_its_tick_is_pushed(self):
+        db, primary, (replica, _other) = quiet_three_city()
+        log = watch_batches(replica, share_the_tick=True)
+        primary.engine.heartbeat(12345)
+        db.run_for(0.3)
+        # The ack and the wake-up; the batch waits for the wake-up, which
+        # runs after the entry queued behind the delivery.
+        assert log == [(2, 1), "behind"]
+        assert replica.store.max_commit_ts == 12345
+
+    def test_one_record_flush_to_two_replicas_costs_seven_entries(self):
+        """One shared flush timer, two batch deliveries, two replay timers
+        and two ack deliveries: both wake-ups are granted in place, and no
+        commit waits on the acks."""
+        db, primary, replicas = quiet_three_city()
+        env = db.env
+        before = env.events_scheduled
+        primary.engine.heartbeat(12345)
+        db.run_for(0.3)
+        assert env.events_scheduled - before == 1 + 2 + 2 + 2
+        lsn = primary.engine.wal.last_lsn
+        assert primary.acks.acked == {replica.name: lsn
+                                      for replica in replicas}
+        assert all(replica.replayer.batches_replayed for replica in replicas)
