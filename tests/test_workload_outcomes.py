@@ -9,15 +9,25 @@ sorted commit latencies. The event count is left out on purpose, so a
 change that schedules fewer entries for the same history keeps passing,
 and one that moves a single commit by a nanosecond fails.
 
+None of the five workloads fails a node, so one more pin covers the fault
+path: a Three-City TPC-C mix in which a replica falls behind and catches
+up, then a primary fails, a replica is promoted and the other is rebuilt.
+Its digest covers the client outcome, the failover record and every data
+node's store: versions per key in chain order, commit log, frontier,
+applied LSN and WAL bounds.
+
 A change meant to alter simulated behaviour re-records the digests and
 says which moved and why.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
-from repro.workloads import run_workload
+from repro import ClusterConfig, build_cluster, three_city
+from repro.sim.units import ms
+from repro.workloads import TpccConfig, TpccWorkload, run_workload
 from test_no_garbage_cycles import SCENARIOS
 
 #: Digest per workload, recorded with the kernel that pushed every wait.
@@ -44,3 +54,68 @@ def test_workload_outcome_matches_recording(name):
                           duration_s=0.2, setup=False)
     assert result.stats.committed > 0
     assert outcome_digest(result.stats) == PINNED[name]
+
+
+#: Digest of the failover run below, recorded before the primary and
+#: replica stores were one class.
+FAILOVER_PINNED = "de52a660f0040d9c"
+
+
+def store_state(dn) -> tuple:
+    """What a data node's store holds, by value: per table its DDL
+    timestamp, its indexed columns and every key's chain as ``(xmin, xmax,
+    data)`` newest first; the commit log, the frontier, and the applied LSN
+    (replica) or the WAL bounds (primary)."""
+    store = dn.engine if dn.is_primary else dn.store
+    tables = []
+    for name in sorted(store.catalog.tables()):
+        heap = store.table(name)
+        indexes = [column for column in sorted(
+            column for column in store.catalog.table(name).column_names())
+            if heap.has_index(column)]
+        tables.append((name, store.catalog.ddl_ts(name), indexes, [
+            (key, [(v.xmin, v.xmax, sorted(v.data.items()))
+                   for v in heap.versions(key)])
+            for key in sorted(heap.keys())]))
+    clog = [(txid, store.clog.status(txid).name, store.clog.commit_ts(txid))
+            for txid in sorted(store.clog._records)]
+    if dn.is_primary:
+        position = ("wal", store.wal.start_lsn, store.wal.last_lsn)
+        frontier = store.last_commit_ts
+    else:
+        position = ("applied", store.applied_lsn)
+        frontier = store.max_commit_ts
+    return (dn.name, dn.role, tables, store.catalog.max_ddl_ts, clog,
+            frontier, position)
+
+
+def test_failover_outcome_matches_recording():
+    db = build_cluster(ClusterConfig.globaldb(
+        three_city(), seed=5, auto_failover=True, failover_grace_ns=ms(200)))
+    nodes = sorted([*db.primaries,
+                    *(r for replicas in db.replicas.values() for r in replicas)],
+                   key=lambda dn: dn.name)
+    lagging = db.replicas[0][0]
+    doomed = db.primaries[1]
+
+    def faults():
+        yield db.env.timeout(ms(300))
+        lagging.fail()
+        yield db.env.timeout(ms(300))
+        lagging.recover()  # the next batch arrives with a gap: catch-up
+        yield db.env.timeout(ms(100))
+        doomed.fail()      # promotion, then a rebuild of the other replica
+
+    db.env.process(faults(), name="faults")
+    tpcc = TpccConfig(warehouses=3, customers_per_district=10, items=40,
+                      initial_orders_per_district=4)
+    result = run_workload(db, TpccWorkload(tpcc), terminals=12,
+                          duration_s=1.6)
+    db.run_for(0.6)
+    assert lagging.catchup_requests >= 1
+    assert [event.old_primary for event in db.failover.events] == [doomed.name]
+    state = (outcome_digest(result.stats),
+             [dataclasses.astuple(event) for event in db.failover.events],
+             [store_state(dn) for dn in nodes])
+    digest = hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+    assert digest == FAILOVER_PINNED
