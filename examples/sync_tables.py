@@ -59,8 +59,8 @@ def main() -> None:
     db.run_for(0.005)  # the acked batch's replay time
     from repro.storage.snapshot import Snapshot
     for replica in db.replicas[shard]:
-        row = replica.store.read("compliance_log", (log_id,),
-                                 Snapshot(replica.store.max_commit_ts))
+        row = replica.engine.read("compliance_log", (log_id,),
+                                 Snapshot(replica.engine.max_commit_ts))
         print(f"  {replica.name} ({replica.region}): sees compliance "
               f"entry = {row is not None}")
 

@@ -32,7 +32,6 @@ from repro.sim.network import Network
 from repro.sim.rand import RandomStreams
 from repro.sim.units import seconds
 from repro.storage.catalog import TableSchema
-from repro.storage.heap import HeapTable
 from repro.txn.gtm import GTMServer
 from repro.txn.migration import MigrationCoordinator, MigrationReport
 from repro.txn.modes import TxnMode
@@ -162,17 +161,13 @@ class GlobalDB:
         # Offline data is committed at ts=1; GTM snapshots must cover it.
         self.gtm.counter = max(self.gtm.counter, 1)
         self.shard_map.register(schema, range_bounds)
-        for primary in self.primaries:
-            primary.engine.create_table(schema, ddl_ts=1, log=False)
+        replicas = [replica for replica_list in self.replicas.values()
+                    for replica in replica_list]
+        for dn in self.primaries + replicas:
+            dn.engine.create_table(schema, ddl_ts=1, log=False)
             for column in indexes:
-                primary.engine.create_index(schema.name, column, ddl_ts=1,
-                                            log=False)
-        for replica_list in self.replicas.values():
-            for replica in replica_list:
-                replica.store.catalog.create_table(schema, ddl_ts=1)
-                replica.store._tables[schema.name] = HeapTable(schema.name)
-                for column in indexes:
-                    replica.store.table(schema.name).create_index(column)
+                dn.engine.create_index(schema.name, column, ddl_ts=1,
+                                       log=False)
         for cn in self.cns:
             if not cn.catalog.has_table(schema.name):
                 cn.catalog.create_table(schema, ddl_ts=1)
@@ -180,10 +175,9 @@ class GlobalDB:
     def bulk_load(self, table: str, rows: typing.Iterable[dict]) -> int:
         """Install rows on primaries and replicas as committed data.
 
-        Each row is copied once here; every engine and replica store that
-        holds it adopts that one image (a replicated table's on all
-        shards), so the caller keeps ownership of what it passed in."""
-        schema = self.shard_map.schema(table)
+        Each row is copied once here; every store that holds it adopts
+        that one image (a replicated table's on all shards), so the caller
+        keeps ownership of what it passed in."""
         by_shard: dict[int, list[dict]] = {}
         if self.shard_map.is_replicated(table):
             all_rows = [dict(row) for row in rows]
@@ -195,10 +189,9 @@ class GlobalDB:
                 by_shard.setdefault(shard, []).append(dict(row))
         total = 0
         for shard, shard_rows in by_shard.items():
-            loaded = self.primaries[shard].engine.bulk_load(table, shard_rows)
+            total += self.primaries[shard].engine.bulk_load(table, shard_rows)
             for replica in self.replicas.get(shard, []):
-                replica.store.bulk_load(table, shard_rows, schema)
-            total += loaded
+                replica.engine.bulk_load(table, shard_rows)
         if self.shard_map.is_replicated(table):
             return len(by_shard[0]) if by_shard else 0
         return total
@@ -254,9 +247,8 @@ class GlobalDB:
                          for replica in replica_list]
         rcp = rcp_lag_ns = 0
         if self.config.ror_enabled:
-            frontier = max((primary.engine.last_commit_ts
-                            for primary in self.primaries if primary.engine),
-                           default=0)
+            frontier = max((primary.engine.max_commit_ts
+                            for primary in self.primaries), default=0)
             rcp = max((cn.rcp_state.rcp for cn in self.cns), default=0)
             rcp_lag_ns = max(0, frontier - rcp)
         return {
@@ -271,7 +263,7 @@ class GlobalDB:
             "rcp": rcp,
             "rcp_lag_ns": rcp_lag_ns,
             "wal_bytes": sum(primary.engine.wal.bytes_written
-                             for primary in self.primaries if primary.engine),
+                             for primary in self.primaries),
             "wire_bytes_shipped": sum(shipper.wire_bytes_total
                                       for shipper in self.shippers),
             "replicas_up": sum(1 for replica in replica_nodes

@@ -1,11 +1,13 @@
 """Data nodes: shard primaries and replicas.
 
-A primary DN owns its shard's :class:`~repro.storage.engine.StorageEngine`
-and is the commit point for single-shard transactions (§IV-A ordering:
-``PENDING_COMMIT`` -> acquire timestamp -> commit-wait -> ``COMMIT``). A
-replica DN owns a :class:`~repro.replication.replica.ReplicaStore` fed by a
-:class:`~repro.replication.replayer.Replayer` and serves consistent reads
-at the RCP, holding back readers that touch unresolved transactions.
+Every DN holds its shard's :class:`~repro.storage.engine.StorageEngine`
+as ``engine``, in one of two roles. A primary is the commit point for
+single-shard transactions (§IV-A ordering: ``PENDING_COMMIT`` -> acquire
+timestamp -> commit-wait -> ``COMMIT``). A replica's store (a
+:class:`~repro.replication.replica.ReplicaStore`) is fed by a
+:class:`~repro.replication.replayer.Replayer`; the replica serves
+consistent reads at the RCP, holding back readers that touch unresolved
+transactions. Promotion keeps the store and flips its role.
 
 Execution cost model: each operation spends a fixed CPU time (the ``*_NS``
 constants) inside a bounded worker pool (semaphore), giving nodes a
@@ -61,15 +63,13 @@ class DataNode(ClusterNode):
         self.pool = Semaphore(self.env, WORKERS)
         self.replication_policy = replication_policy or ReplicationPolicy.async_()
         if role == "primary":
-            self.engine: StorageEngine | None = StorageEngine(self.env, self.name)
-            self.acks = AckTracker(self.env, self.region, {})
-            self.store: ReplicaStore | None = None
+            self.engine: StorageEngine = StorageEngine(self.env, self.name)
+            self.acks: AckTracker | None = AckTracker(self.env, self.region, {})
             self.replayer: Replayer | None = None
         else:
-            self.engine = None
+            self.engine = ReplicaStore(self.env, self.name)
             self.acks = None
-            self.store = ReplicaStore(self.env, self.name)
-            self.replayer = Replayer(self.env, self.store)
+            self.replayer = Replayer(self.env, self.engine)
         self.ops_served = 0
         self.commits = 0
         self.aborts = 0
@@ -89,11 +89,6 @@ class DataNode(ClusterNode):
     @property
     def is_primary(self) -> bool:
         return self.role == "primary"
-
-    def max_commit_ts(self) -> int:
-        if self.is_primary:
-            return self.engine.last_commit_ts
-        return self.store.max_commit_ts
 
     def _spawn(self, generator, kind: str) -> None:
         """Serve one request's handler generator. Every caller is a
@@ -135,12 +130,7 @@ class DataNode(ClusterNode):
                 yield self.env.timeout(interval_ns)
                 if self.failed:
                     continue
-                if self.is_primary and self.engine is not None:
-                    stats = self.engine.vacuum(retention_ns)
-                elif self.store is not None:
-                    stats = self.store.vacuum(retention_ns)
-                else:
-                    continue
+                stats = self.engine.vacuum(retention_ns)
                 self.vacuum_runs += 1
                 self.versions_vacuumed += stats.versions_removed
 
@@ -153,38 +143,20 @@ class DataNode(ClusterNode):
         """Turn this replica into the shard's primary (§IV: "a replica
         node is promoted to replace the primary node").
 
-        The applied MVCC state carries over wholesale; a fresh WAL
-        continues from the replica's applied LSN so surviving peers (after
-        a rebuild to the same point) can keep consuming one dense LSN
-        sequence. Transactions that were in doubt at promotion
-        (``PENDING_COMMIT``/``PREPARE`` replayed, outcome never arrived)
-        are aborted — their coordinator's commit round trip died with the
-        old primary. Returns the number of such aborted transactions.
+        The store the replayer was applying into takes the primary role in
+        place (:meth:`StorageEngine.promote`) and the replayer stops. The
+        store continues the WAL from the applied LSN, so surviving peers
+        (after a rebuild to the same point) keep consuming one dense LSN
+        sequence, and aborts the transactions that were in doubt — their
+        coordinator's commit round trip died with the old primary. Returns
+        how many it aborted.
         """
         if self.is_primary:
             raise TransactionAborted(f"{self.name} is already a primary")
-        from repro.storage.wal import WalBuffer
-
-        store = self.store
-        engine = StorageEngine(self.env, self.name)
-        engine.catalog = store.catalog
-        engine.clog = store.clog
-        engine._tables = store._tables
-        engine.last_commit_ts = store.max_commit_ts
-        engine.wal = WalBuffer(name=f"{self.name}.wal",
-                               start_lsn=store.applied_lsn + 1)
-        aborted = 0
-        for txid in list(store._unresolved):
-            store._undo(txid)
-            engine.clog.abort(txid)
-            store._resolve(txid)
-            aborted += 1
-        self.engine = engine
+        aborted = self.engine.promote()
         self.acks = AckTracker(self.env, self.region, {})
-        self.store = None
-        if self.replayer is not None:
-            self.replayer._process.interrupt(cause="promoted")
-            self.replayer = None
+        self.replayer._process.interrupt(cause="promoted")
+        self.replayer = None
         self._redo_buffer.clear()
         self._catchup_inflight = False
         self.role = "primary"
@@ -194,52 +166,18 @@ class DataNode(ClusterNode):
         """Re-seed this replica from a (newly promoted) primary's state —
         the simulation-level equivalent of an incremental rebuild.
 
-        The copy is a snapshot: version chains and the commit log are
-        duplicated (row payload dicts are immutable after creation and may
-        be shared), so subsequent primary activity only reaches this
-        replica through shipped redo. The replica's applied LSN is set to
-        the base the new primary's WAL grows from, so shipped records
-        apply cleanly in one dense sequence.
+        The new store is a snapshot of the source's
+        (:meth:`StorageEngine.copy_into`), so subsequent primary activity
+        only reaches this replica through shipped redo, applied from the
+        source WAL's tail on.
         """
         if self.is_primary or not source.is_primary:
             raise TransactionAborted(
                 "rebuild needs a replica target and a primary source")
-        from copy import copy as shallow_copy
-
-        from repro.storage.clog import CommitLog
-        from repro.storage.heap import HeapTable, RowVersion
-
         store = ReplicaStore(self.env, self.name)
-        engine = source.engine
-        store.catalog = shallow_copy(engine.catalog)
-        store.catalog._tables = dict(engine.catalog._tables)
-        store.catalog._ddl_ts = dict(engine.catalog._ddl_ts)
-        clog = CommitLog()
-        clog._records = {txid: shallow_copy(record)
-                         for txid, record in engine.clog._records.items()}
-        clog.rebuild_cache()
-        store.clog = clog
-        for name, heap in engine._tables.items():
-            clone = HeapTable(name)
-            for key, versions in heap._rows.items():
-                clone._rows[key] = [
-                    RowVersion(key=version.key, data=version.data,
-                               xmin=version.xmin, xmax=version.xmax)
-                    for version in versions
-                ]
-            for column in heap._indexes:
-                clone.create_index(column)
-            store._tables[name] = clone
-        store.max_commit_ts = engine.last_commit_ts
-        # The snapshot covers everything up to the WAL's current tail.
-        store.applied_lsn = engine.wal.last_lsn
-        old_replayer = self.replayer
-        self.store = store
-        if old_replayer is not None:
-            old_replayer.store = store
-            old_replayer._queue.clear()
-        else:
-            self.replayer = Replayer(self.env, store)
+        source.engine.copy_into(store)
+        self.engine = self.replayer.store = store
+        self.replayer._queue.clear()
         self._enqueued_lsn = store.applied_lsn
         self._redo_buffer.clear()
         self._catchup_inflight = False
@@ -258,13 +196,7 @@ class DataNode(ClusterNode):
             _kind, src, records = payload
             self._receive_redo(src, records)
         elif kind == "redo_ack" and self.acks is not None:
-            # Acks carry (replica, received_lsn, applied_lsn); tolerate the
-            # legacy 3-tuple without the applied watermark.
-            if len(payload) == 4:
-                _kind, replica, lsn, applied_lsn = payload
-            else:
-                _kind, replica, lsn = payload
-                applied_lsn = 0
+            _kind, replica, lsn, applied_lsn = payload
             self.acks.record(replica, lsn, applied_lsn)
             self._maybe_truncate_wal()
             self.acks.release()
@@ -297,7 +229,7 @@ class DataNode(ClusterNode):
         if not records:
             return
         if self._enqueued_lsn == 0:
-            self._enqueued_lsn = self.store.applied_lsn
+            self._enqueued_lsn = self.engine.applied_lsn
         first = records[0].lsn
         if first > self._enqueued_lsn + 1:
             self._redo_buffer[first] = records
@@ -336,7 +268,7 @@ class DataNode(ClusterNode):
         # fully-replayed WAL prefix at no extra message cost.
         self.network.send(self.name, src,
                           ("redo_ack", self.name, self._enqueued_lsn,
-                           self.store.applied_lsn),
+                           self.engine.applied_lsn),
                           size_bytes=64)
 
     def _request_catchup(self, src: str) -> None:
@@ -375,7 +307,7 @@ class DataNode(ClusterNode):
             if read_ts is None:
                 # §III single-shard bypass: the node's own last committed
                 # timestamp is the snapshot — no invocation wait, no RPC.
-                read_ts = self.engine.last_commit_ts
+                read_ts = self.engine.max_commit_ts
             snapshot = Snapshot(read_ts, txid)
             row = yield from self.engine.read_waiting(table, key, snapshot)
             request.reply((row, read_ts))
@@ -400,7 +332,7 @@ class DataNode(ClusterNode):
         def run():
             _kind, txid, read_ts, table, predicate = request.body
             if read_ts is None:
-                read_ts = self.engine.last_commit_ts
+                read_ts = self.engine.max_commit_ts
             snapshot = Snapshot(read_ts, txid)
             try:
                 rows = self.engine.scan(table, snapshot, predicate)
@@ -418,7 +350,7 @@ class DataNode(ClusterNode):
         def run():
             _kind, txid, read_ts, table, column, value = request.body
             if read_ts is None:
-                read_ts = self.engine.last_commit_ts
+                read_ts = self.engine.max_commit_ts
             snapshot = Snapshot(read_ts, txid)
             rows = self.engine.lookup_index(table, column, value, snapshot)
             yield from self._work(POINT_READ_NS
@@ -433,7 +365,7 @@ class DataNode(ClusterNode):
             yield from self._work(POINT_READ_NS
                                   + SCAN_ROW_NS * len(keys))
             if read_ts is None:
-                read_ts = self.engine.last_commit_ts
+                read_ts = self.engine.max_commit_ts
             snapshot = Snapshot(read_ts, txid)
             rows = []
             for key in keys:
@@ -448,7 +380,7 @@ class DataNode(ClusterNode):
         def run():
             _kind, txid, read_ts, table, column, values = request.body
             if read_ts is None:
-                read_ts = self.engine.last_commit_ts
+                read_ts = self.engine.max_commit_ts
             snapshot = Snapshot(read_ts, txid)
             rows = []
             for value in values:
@@ -601,7 +533,7 @@ class DataNode(ClusterNode):
         def run():
             _kind, txid = request.body
             yield from self._work(COMMIT_NS)
-            if self.engine.clog.known(txid) and self.engine.is_active(txid):
+            if self.engine.is_active(txid):
                 self.engine.abort(txid)
             self.aborts += 1
             request.reply(("ok",))
@@ -625,7 +557,7 @@ class DataNode(ClusterNode):
                 # Safe without commit-wait: a clock lower bound can never
                 # exceed a later commit's (waited-out) timestamp.
                 earliest, _latest = self.gclock.bounds()
-                ts = max(self.engine.last_commit_ts, earliest)
+                ts = max(self.engine.max_commit_ts, earliest)
             else:
                 # Best-effort: a GTM outage must not kill the heartbeat
                 # path (or the node). Without a counter the frontier just
@@ -635,7 +567,7 @@ class DataNode(ClusterNode):
                         self.name, self.provider.gtm_name, ("begin",))
                 except NetworkError:
                     counter = 0
-                ts = max(self.engine.last_commit_ts, counter)
+                ts = max(self.engine.max_commit_ts, counter)
             self.engine.heartbeat(ts)
             request.reply(("ok", ts))
         self._spawn(run(), "heartbeat")
@@ -660,17 +592,17 @@ class DataNode(ClusterNode):
         def run():
             _kind, read_ts, table, key = request.body
             yield from self._work(POINT_READ_NS)
-            yield from self.store.wait_frontier(read_ts)
-            row = yield from self.store.read_waiting(table, key, Snapshot(read_ts))
+            yield from self.engine.wait_frontier(read_ts)
+            row = yield from self.engine.read_waiting(table, key, Snapshot(read_ts))
             request.reply((row, read_ts))
         self._spawn(run(), "read_replica")
 
     def _handle_scan_replica(self, request: Request) -> None:
         def run():
             _kind, read_ts, table, predicate = request.body
-            yield from self.store.wait_frontier(read_ts)
+            yield from self.engine.wait_frontier(read_ts)
             try:
-                rows = self.store.scan(table, Snapshot(read_ts), predicate)
+                rows = self.engine.scan(table, Snapshot(read_ts), predicate)
             except Exception as exc:
                 request.reply(("error", exc))
                 return
@@ -684,11 +616,11 @@ class DataNode(ClusterNode):
             _kind, read_ts, table, keys = request.body
             yield from self._work(POINT_READ_NS
                                   + SCAN_ROW_NS * len(keys))
-            yield from self.store.wait_frontier(read_ts)
+            yield from self.engine.wait_frontier(read_ts)
             snapshot = Snapshot(read_ts)
             rows = []
             for key in keys:
-                row = yield from self.store.read_waiting(table, key, snapshot)
+                row = yield from self.engine.read_waiting(table, key, snapshot)
                 rows.append(row)
             request.reply((rows, read_ts))
         self._spawn(run(), "read_replica_batch")
@@ -696,11 +628,11 @@ class DataNode(ClusterNode):
     def _handle_lookup_replica_batch(self, request: Request) -> None:
         def run():
             _kind, read_ts, table, column, values = request.body
-            yield from self.store.wait_frontier(read_ts)
+            yield from self.engine.wait_frontier(read_ts)
             snapshot = Snapshot(read_ts)
             rows = []
             for value in values:
-                rows.extend(self.store.lookup_index(table, column, value,
+                rows.extend(self.engine.lookup_index(table, column, value,
                                                     snapshot))
             yield from self._work(POINT_READ_NS
                                   + SCAN_ROW_NS * max(len(rows),
@@ -711,8 +643,8 @@ class DataNode(ClusterNode):
     def _handle_lookup_replica(self, request: Request) -> None:
         def run():
             _kind, read_ts, table, column, value = request.body
-            yield from self.store.wait_frontier(read_ts)
-            rows = self.store.lookup_index(table, column, value, Snapshot(read_ts))
+            yield from self.engine.wait_frontier(read_ts)
+            rows = self.engine.lookup_index(table, column, value, Snapshot(read_ts))
             yield from self._work(POINT_READ_NS
                                   + SCAN_ROW_NS * len(rows))
             request.reply((rows, read_ts))
@@ -722,7 +654,7 @@ class DataNode(ClusterNode):
     # Shared status surface
     # ------------------------------------------------------------------
     def _handle_max_commit_ts(self, request: Request) -> None:
-        request.reply(self.max_commit_ts())
+        request.reply(self.engine.max_commit_ts)
 
     def _handle_status(self, request: Request) -> None:
         backlog = self.replayer.backlog_batches if self.replayer else 0
@@ -731,7 +663,7 @@ class DataNode(ClusterNode):
             "region": self.region,
             "role": self.role,
             "shard": self.shard_id,
-            "max_commit_ts": self.max_commit_ts(),
+            "max_commit_ts": self.engine.max_commit_ts,
             "load": self.pool.load + backlog,
             "up": not self.failed,
         })

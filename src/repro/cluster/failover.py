@@ -103,9 +103,9 @@ class FailoverManager:
                      if not replica.failed]
         if not survivors:
             return  # nothing to promote; shard stays down
-        chosen = max(survivors, key=lambda replica: replica.store.applied_lsn)
-        old_frontier = old_primary.engine.last_commit_ts
-        promoted_frontier = chosen.store.max_commit_ts
+        chosen = max(survivors, key=lambda replica: replica.engine.applied_lsn)
+        old_frontier = old_primary.engine.max_commit_ts
+        promoted_frontier = chosen.engine.max_commit_ts
         in_doubt = chosen.promote_to_primary()
         chosen.replication_policy = old_primary.replication_policy
         self.primaries[shard] = chosen
@@ -120,7 +120,7 @@ class FailoverManager:
         # replication's trade-off) — this guard only ensures reads below
         # the advertised RCP never see a gap they were promised not to.
         advertised_rcp = max((cn.rcp_state.rcp for cn in self.cns), default=0)
-        rcp_gap = max(0, advertised_rcp - chosen.engine.last_commit_ts)
+        rcp_gap = max(0, advertised_rcp - chosen.engine.max_commit_ts)
         if rcp_gap and self.rcp_guard:
             chosen.engine.heartbeat(advertised_rcp)
         # Rebuild the remaining replicas from the new primary and restart

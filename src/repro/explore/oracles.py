@@ -101,7 +101,7 @@ def check_frontier_coverage(db: "GlobalDB") -> list[TrialViolation]:
     for shard, primary in enumerate(db.primaries):
         if primary.failed:
             continue
-        frontier = primary.engine.last_commit_ts
+        frontier = primary.engine.max_commit_ts
         if frontier < advertised:
             violations.append(TrialViolation(
                 "ror-frontier-coverage",
@@ -111,7 +111,7 @@ def check_frontier_coverage(db: "GlobalDB") -> list[TrialViolation]:
         for replica in db.replicas.get(shard, ()):
             if replica.failed:
                 continue
-            applied = replica.store.max_commit_ts
+            applied = replica.engine.max_commit_ts
             if applied < advertised:
                 violations.append(TrialViolation(
                     "ror-frontier-coverage",

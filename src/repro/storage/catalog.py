@@ -113,6 +113,13 @@ class Catalog:
     def tables(self) -> list[str]:
         return list(self._tables)
 
+    def copy(self) -> Catalog:
+        clone = Catalog()
+        clone._tables = dict(self._tables)
+        clone._ddl_ts = dict(self._ddl_ts)
+        clone.max_ddl_ts = self.max_ddl_ts
+        return clone
+
     def _touch(self, name: str, ddl_ts: int) -> None:
         self._ddl_ts[name] = max(self._ddl_ts.get(name, 0), ddl_ts)
         self.max_ddl_ts = max(self.max_ddl_ts, ddl_ts)

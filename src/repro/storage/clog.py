@@ -99,11 +99,10 @@ class CommitLog:
         ts = self._commit_ts.get(txid)
         return ts is not None and ts <= read_ts
 
-    def rebuild_cache(self) -> None:
-        """Recompute the commit-ts table after ``_records`` was replaced
-        wholesale (replica rebuild from a primary's clog snapshot)."""
-        self._commit_ts = {
-            txid: record.commit_ts for txid, record in self._records.items()
-            if record.status is TxnStatus.COMMITTED
-            and record.commit_ts is not None
-        }
+    def copy(self) -> CommitLog:
+        """An independent copy (a replica rebuild's base image)."""
+        clone = CommitLog()
+        clone._records = {txid: TxnRecord(record.status, record.commit_ts)
+                          for txid, record in self._records.items()}
+        clone._commit_ts = dict(self._commit_ts)
+        return clone

@@ -1,22 +1,30 @@
-"""The per-shard storage engine (primary role).
+"""One shard's MVCC store, in either of its two roles.
 
-Combines the MVCC heap, commit log, catalog, lock table and WAL into the
-write/read surface a primary data node exposes:
+:class:`StorageEngine` owns a shard's catalog, commit log, heaps, undo map,
+frontier (``max_commit_ts``) and the read holdback, with the read, scan,
+index-lookup, vacuum and bulk-load paths a primary and its replicas share.
+The roles differ in how the state changes:
 
-- DML writes create versions immediately and stream matching redo records
-  into the WAL (steal-style), so replication lag is governed purely by
-  shipping and replay.
-- Updates and deletes use read-committed write semantics (as in
-  GaussDB/openGauss): after the row lock is granted, the write applies to
-  the *latest committed* version, not the transaction's snapshot. This keeps
-  TPC-C abort rates realistic for hot rows (district next-order-id). The row
-  lock is also what upholds the chain invariant (:mod:`repro.storage.heap`)
-  that lets that version be found at the head of the chain, not by scanning
-  it; the engine trusts its caller to hold the lock.
-- Commit follows the paper's §IV-A ordering: a ``PENDING_COMMIT`` record is
-  logged *before* the commit timestamp is obtained, then the ``COMMIT``
-  record carries the timestamp. Replicas use the pair to hold back reads on
-  in-doubt tuples.
+- A **primary** runs the write API. DML creates versions at once and
+  streams matching redo into the WAL (steal-style), so replication lag is
+  governed purely by shipping and replay. Updates and deletes use
+  read-committed write semantics (as in GaussDB/openGauss): after the row
+  lock is granted, the write applies to the *latest committed* version,
+  not the transaction's snapshot, which keeps TPC-C abort rates realistic
+  for hot rows. The row lock also upholds the chain invariant
+  (:mod:`repro.storage.heap`) that finds that version at the head of its
+  chain; the engine trusts its caller to hold it. Commit follows §IV-A: a
+  ``PENDING_COMMIT`` record is logged *before* the commit timestamp is
+  obtained, then the ``COMMIT`` record carries the timestamp.
+- A **replica** applies the primary's redo in LSN order (:meth:`apply_batch`).
+
+A transaction is *unresolved* from its ``PENDING_COMMIT`` or ``PREPARE``
+until its outcome, and a reader whose visibility check touches one of its
+tuples waits for it (:meth:`read_waiting`): on a replica the outcome may
+not be replayed yet, and on a primary a GClock commit timestamp can land
+below an existing snapshot. Promotion flips a replica's store to the
+primary role in place (:meth:`promote`); a rebuild seeds a new replica
+store from a primary's (:meth:`copy_into`).
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from repro.storage.redo import (
     RedoInsert,
     RedoPendingCommit,
     RedoPrepare,
+    RedoRecord,
     RedoUpdate,
 )
 from repro.storage.snapshot import Snapshot
@@ -48,56 +57,8 @@ from repro.storage.vacuum import vacuum_tables
 from repro.storage.wal import WalBuffer
 
 
-class CommitHoldback:
-    """Read holdback on transactions in their commit window, shared by a
-    primary's :class:`StorageEngine` and a replica's ``ReplicaStore``.
-
-    A transaction is *unresolved* from its ``PENDING_COMMIT`` or
-    ``PREPARE`` until its outcome. Its tuples are effectively locked: a
-    reader whose visibility check touches one waits for the outcome. The
-    store supplies ``env``, ``clog``, ``table()``, ``read()`` and
-    ``_unresolved`` (txid -> the event a blocked reader waits on, made only
-    once one blocks).
-    """
-
-    _unresolved: dict[int, Event | None]
-
-    def _resolve(self, txid: int) -> None:
-        event = self._unresolved.pop(txid, None)
-        if event is not None:
-            event.succeed(txid)
-
-    def blocking_txid(self, table: str, key: tuple,
-                      reader_txid: int | None = None) -> int | None:
-        """If ``key``'s visibility could hinge on an unresolved transaction
-        other than the reader's own, return that transaction's id."""
-        if not self._unresolved:
-            return None
-        committed = self.clog._commit_ts
-        for version in self.table(table).versions(key):
-            if version.xmin in self._unresolved and version.xmin != reader_txid:
-                return version.xmin
-            if (version.xmax is not None and version.xmax in self._unresolved
-                    and version.xmax != reader_txid):
-                return version.xmax
-            if version.xmin in committed:
-                break  # chain invariant: all below is committed and ended
-        return None
-
-    def read_waiting(self, table: str, key: tuple, snapshot: Snapshot):
-        """Generator: read ``key``, waiting out unresolved transactions."""
-        while True:
-            txid = self.blocking_txid(table, key, snapshot.txid)
-            if txid is None:
-                return self.read(table, key, snapshot)
-            event = self._unresolved[txid]
-            if event is None:
-                event = self._unresolved[txid] = Event(self.env)
-            yield event
-
-
-class StorageEngine(CommitHoldback):
-    """Storage for one shard's primary."""
+class StorageEngine:
+    """One shard's MVCC store: a primary's, or a replica's."""
 
     def __init__(self, env: Environment, name: str):
         self.env = env
@@ -107,16 +68,19 @@ class StorageEngine(CommitHoldback):
         self.wal = WalBuffer(name=f"{name}.wal")
         self.locks = LockTable(env)
         self._tables: dict[str, HeapTable] = {}
-        # txid -> undo entries, applied in reverse on abort.
+        # txid -> undo entries (kind, heap, new version, version it ended),
+        # applied in reverse on abort.
         self._undo: dict[int, list[tuple]] = {}
-        # Transactions in the commit window (PENDING_COMMIT logged, or
-        # prepared) whose outcome a reader may need to wait for. The GClock
-        # commit timestamp of such a transaction can land *below* an
-        # existing snapshot (within the clock error window), so readers
-        # touching its tuples block until it resolves — the primary-side
-        # mirror of the replica's PENDING_COMMIT holdback (CommitHoldback).
+        # Transactions in the commit window (PENDING_COMMIT or PREPARE, no
+        # outcome yet) -> the event a blocked reader waits on, made only
+        # once one blocks.
         self._unresolved: dict[int, Event | None] = {}
-        self.last_commit_ts = 0
+        #: The frontier: largest commit timestamp committed, applied or
+        #: heartbeated here. A primary's single-shard reads snapshot at it;
+        #: a replica's is what the RCP collector polls (§IV-A).
+        self.max_commit_ts = 0
+        self.applied_lsn = 0
+        self.records_applied = 0
 
     # ------------------------------------------------------------------
     # DDL
@@ -157,7 +121,7 @@ class StorageEngine(CommitHoldback):
         return heap
 
     # ------------------------------------------------------------------
-    # Transaction lifecycle
+    # Transaction lifecycle (primary)
     # ------------------------------------------------------------------
     def begin(self, txid: int) -> None:
         self.clog.begin(txid)
@@ -188,21 +152,31 @@ class StorageEngine(CommitHoldback):
 
     def abort(self, txid: int) -> int:
         """Roll back and log the abort record. Returns its LSN."""
-        return self._rollback(txid, RedoAbort(txid=txid))
+        return self._abort(txid, RedoAbort(txid=txid))
 
-    def _rollback(self, txid: int, record) -> int:
+    def _abort(self, txid: int, record) -> int:
+        """Roll ``txid`` back, log ``record`` as its outcome, then release
+        its row locks before waking readers held back on it."""
+        self._rollback(txid)
+        lsn = self.wal.append(record)
+        self.locks.release_all(txid)
+        self._resolve(txid)
+        return lsn
+
+    def _rollback(self, txid: int) -> None:
         """Undo ``txid``'s writes newest first (each removed version is at
-        the head of its chain), then log ``record`` as its outcome."""
+        the head of its chain) and record the abort (both roles)."""
         for _kind, heap, version, old_version in reversed(self._undo.pop(txid, [])):
             if old_version is not None and old_version.xmax == txid:
                 old_version.xmax = None
             if version is not None:
                 heap.remove_version(version)
         self.clog.abort(txid)
-        lsn = self.wal.append(record)
-        self.locks.release_all(txid)
-        self._resolve(txid)
-        return lsn
+
+    def _resolve(self, txid: int) -> None:
+        event = self._unresolved.pop(txid, None)
+        if event is not None:
+            event.succeed(txid)
 
     def prepare(self, txid: int) -> int:
         """2PC phase one."""
@@ -224,7 +198,7 @@ class StorageEngine(CommitHoldback):
     def abort_prepared(self, txid: int) -> int:
         if self.clog.status(txid) is not TxnStatus.PREPARED:
             raise TransactionError(f"transaction {txid} is not prepared")
-        return self._rollback(txid, RedoAbortPrepared(txid=txid))
+        return self._abort(txid, RedoAbortPrepared(txid=txid))
 
     def heartbeat(self, commit_ts: int) -> int:
         """Log a heartbeat so idle replicas keep advancing (§IV-A)."""
@@ -232,11 +206,16 @@ class StorageEngine(CommitHoldback):
         return self.wal.append(RedoHeartbeat(txid=0, commit_ts=commit_ts))
 
     def _note_commit_ts(self, commit_ts: int) -> None:
-        if commit_ts > self.last_commit_ts:
-            self.last_commit_ts = commit_ts
+        if commit_ts > self.max_commit_ts:
+            self.max_commit_ts = commit_ts
+
+    #: How replay and bulk load move the frontier. A replica store built as
+    #: one (:class:`~repro.replication.replica.ReplicaStore`) also publishes
+    #: the move to its safe-time waiters.
+    _note_applied = _note_commit_ts
 
     # ------------------------------------------------------------------
-    # DML
+    # DML (primary)
     # ------------------------------------------------------------------
     def insert(self, txid: int, table: str, row: dict) -> None:
         schema = self.catalog.table(table)
@@ -315,17 +294,162 @@ class StorageEngine(CommitHoldback):
         return None
 
     # ------------------------------------------------------------------
+    # Redo application (replica)
+    # ------------------------------------------------------------------
+    def apply(self, record: RedoRecord) -> None:
+        """Apply one redo record (records must arrive in LSN order)."""
+        if record.lsn and record.lsn <= self.applied_lsn:
+            return  # duplicate delivery (e.g. catch-up overlap)
+        handler = self._APPLY[type(record)]
+        handler(self, record)
+        if record.lsn:
+            self.applied_lsn = record.lsn
+        self.records_applied += 1
+
+    def apply_batch(self, records: list[RedoRecord]) -> None:
+        """Apply a batch of redo records in order.
+
+        Equivalent to ``for r in records: self.apply(r)`` with the dispatch
+        table and bookkeeping hoisted out of the loop — the replayer's hot
+        path applies thousands of records per simulated batch."""
+        dispatch = self._APPLY
+        applied_lsn = self.applied_lsn
+        count = 0
+        for record in records:
+            lsn = record.lsn
+            if lsn and lsn <= applied_lsn:
+                continue
+            dispatch[type(record)](self, record)
+            if lsn:
+                applied_lsn = lsn
+            count += 1
+        self.applied_lsn = applied_lsn
+        self.records_applied += count
+
+    def _apply_insert(self, record: RedoInsert) -> None:
+        self.clog.ensure(record.txid)
+        heap = self.table(record.table)
+        # The after-image is adopted, not copied (image immutability,
+        # :mod:`repro.storage.heap`).
+        version = RowVersion(key=record.key, data=record.row, xmin=record.txid)
+        heap.add_version(version)
+        self._note_undo(record.txid, ("insert", heap, version, None))
+
+    def _apply_update(self, record: RedoUpdate) -> None:
+        self.clog.ensure(record.txid)
+        heap = self.table(record.table)
+        old = self._current_unended(heap, record.key)
+        if old is not None:
+            old.xmax = record.txid
+        version = RowVersion(key=record.key, data=record.row, xmin=record.txid)
+        heap.add_version(version)
+        self._note_undo(record.txid, ("update", heap, version, old))
+
+    def _apply_delete(self, record: RedoDelete) -> None:
+        self.clog.ensure(record.txid)
+        heap = self.table(record.table)
+        old = self._current_unended(heap, record.key)
+        if old is not None:
+            old.xmax = record.txid
+            self._note_undo(record.txid, ("delete", heap, None, old))
+
+    def _note_undo(self, txid: int, entry: tuple) -> None:
+        entries = self._undo.get(txid)
+        if entries is None:
+            self._undo[txid] = [entry]
+        else:
+            entries.append(entry)
+
+    def _current_unended(self, heap: HeapTable, key: tuple) -> RowVersion | None:
+        """The version this write supersedes: the first un-ended one. Redo
+        arrives in LSN order, which replays the primary's row-lock order, so
+        a transaction's own un-ended version can only be that first one
+        (chain invariant, :mod:`repro.storage.heap`)."""
+        for version in heap.versions(key):
+            if version.xmax is None:
+                return version
+        return None
+
+    def _apply_pending_commit(self, record: RedoPendingCommit) -> None:
+        self.clog.ensure(record.txid)
+        self._unresolved.setdefault(record.txid, None)
+
+    def _apply_prepare(self, record: RedoPrepare) -> None:
+        self.clog.ensure(record.txid)
+        self.clog.prepare(record.txid)
+        self._unresolved.setdefault(record.txid, None)
+
+    def _apply_commit(self, record: RedoCommit | RedoCommitPrepared) -> None:
+        self.clog.ensure(record.txid)
+        self.clog.commit(record.txid, record.commit_ts)
+        self._undo.pop(record.txid, None)
+        self._note_applied(record.commit_ts)
+        self._resolve(record.txid)
+
+    def _apply_abort(self, record: RedoAbort | RedoAbortPrepared) -> None:
+        self.clog.ensure(record.txid)
+        self._rollback(record.txid)
+        self._resolve(record.txid)
+
+    def _apply_ddl(self, record: RedoDdl) -> None:
+        if record.action == "create_table":
+            self.create_table(record.payload, record.commit_ts, log=False)
+        elif record.action == "drop_table":
+            self.drop_table(record.table, record.commit_ts, log=False)
+        elif record.action == "create_index":
+            self.create_index(record.table, record.payload, record.commit_ts,
+                              log=False)
+        else:
+            raise StorageError(f"unknown DDL action {record.action!r}")
+        self._note_applied(record.commit_ts)
+
+    def _apply_heartbeat(self, record: RedoHeartbeat) -> None:
+        self._note_applied(record.commit_ts)
+
+    _APPLY: typing.ClassVar[dict] = {}
+
+    # ------------------------------------------------------------------
+    # Role changes
+    # ------------------------------------------------------------------
+    def promote(self) -> int:
+        """Take the primary role in place: a WAL that continues from
+        ``applied_lsn``, and in-doubt transactions (``PENDING_COMMIT`` or
+        ``PREPARE`` replayed, no outcome) rolled back. Writes of transactions
+        short of their commit window stay, and the undo map starts empty, as
+        a new primary's does. Returns how many transactions it aborted."""
+        self.wal = WalBuffer(name=self.wal.name, start_lsn=self.applied_lsn + 1)
+        in_doubt = list(self._unresolved)
+        for txid in in_doubt:
+            self._rollback(txid)
+            self._resolve(txid)
+        self._undo.clear()
+        return len(in_doubt)
+
+    def copy_into(self, store: StorageEngine) -> None:
+        """Make ``store`` a snapshot of this one at its WAL's tail (a
+        rebuild's base image): catalog, commit log and chains are copied,
+        row images shared, so later writes reach it only as redo."""
+        store.catalog = self.catalog.copy()
+        store.clog = self.clog.copy()
+        store._tables = {name: heap.copy()
+                         for name, heap in self._tables.items()}
+        store.max_commit_ts = self.max_commit_ts
+        store.applied_lsn = self.wal.last_lsn
+
+    # ------------------------------------------------------------------
     # Vacuum (MVCC garbage collection)
     # ------------------------------------------------------------------
     def vacuum(self, retention_ns: int):
-        """Reclaim dead versions older than ``last_commit_ts -
+        """Reclaim dead versions older than ``max_commit_ts -
         retention_ns`` and prune the commit log. Returns VacuumStats.
 
         ``retention_ns`` bounds how far back snapshots remain readable
         (the "snapshot too old" horizon); it must comfortably exceed the
-        clock error bound and any replica staleness bound in use.
+        clock error bound and any replica staleness bound in use. On a
+        replica the RCP never exceeds the frontier, and stale routing is
+        bounded by the lag guard.
         """
-        horizon = self.last_commit_ts - retention_ns
+        horizon = self.max_commit_ts - retention_ns
         return vacuum_tables(self._tables, self.clog, horizon)
 
     # ------------------------------------------------------------------
@@ -350,13 +474,15 @@ class StorageEngine(CommitHoldback):
             key = schema.key_of(row)
             heap.add_version(RowVersion(key=key, data=row, xmin=0))
             count += 1
-        self._note_commit_ts(load_ts)
+        self._note_applied(load_ts)
         return count
 
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
     def read(self, table: str, key: tuple, snapshot: Snapshot) -> dict | None:
+        """Visible read that does not wait: the caller has cleared the
+        holdback (:meth:`read_waiting`)."""
         return self.table(table).read(key, snapshot, self.clog)
 
     def scan(self, table: str, snapshot: Snapshot,
@@ -369,3 +495,46 @@ class StorageEngine(CommitHoldback):
     def lookup_index(self, table: str, column: str, value: typing.Any,
                      snapshot: Snapshot) -> list[dict]:
         return self.table(table).lookup_index(column, value, snapshot, self.clog)
+
+    def blocking_txid(self, table: str, key: tuple,
+                      reader_txid: int | None = None) -> int | None:
+        """If ``key``'s visibility could hinge on an unresolved transaction
+        other than the reader's own, return that transaction's id."""
+        if not self._unresolved:
+            return None
+        committed = self.clog._commit_ts
+        for version in self.table(table).versions(key):
+            if version.xmin in self._unresolved and version.xmin != reader_txid:
+                return version.xmin
+            if (version.xmax is not None and version.xmax in self._unresolved
+                    and version.xmax != reader_txid):
+                return version.xmax
+            if version.xmin in committed:
+                break  # chain invariant: all below is committed and ended
+        return None
+
+    def read_waiting(self, table: str, key: tuple, snapshot: Snapshot):
+        """Generator: read ``key``, waiting out unresolved transactions."""
+        while True:
+            txid = self.blocking_txid(table, key, snapshot.txid)
+            if txid is None:
+                return self.read(table, key, snapshot)
+            event = self._unresolved[txid]
+            if event is None:
+                event = self._unresolved[txid] = Event(self.env)
+            yield event
+
+
+StorageEngine._APPLY = {
+    RedoInsert: StorageEngine._apply_insert,
+    RedoUpdate: StorageEngine._apply_update,
+    RedoDelete: StorageEngine._apply_delete,
+    RedoPendingCommit: StorageEngine._apply_pending_commit,
+    RedoPrepare: StorageEngine._apply_prepare,
+    RedoCommit: StorageEngine._apply_commit,
+    RedoCommitPrepared: StorageEngine._apply_commit,
+    RedoAbort: StorageEngine._apply_abort,
+    RedoAbortPrepared: StorageEngine._apply_abort,
+    RedoDdl: StorageEngine._apply_ddl,
+    RedoHeartbeat: StorageEngine._apply_heartbeat,
+}

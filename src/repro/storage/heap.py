@@ -259,6 +259,19 @@ class HeapTable:
     def keys(self) -> typing.Iterator[tuple]:
         return iter(self._rows)
 
+    def copy(self) -> HeapTable:
+        """A copy with its own chains and versions, sharing each version's
+        image (image immutability); its indexes are rebuilt."""
+        clone = HeapTable(self.name)
+        clone._rows = {
+            key: [RowVersion(key=version.key, data=version.data,
+                             xmin=version.xmin, xmax=version.xmax)
+                  for version in versions]
+            for key, versions in self._rows.items()}
+        for column in self._indexes:
+            clone.create_index(column)
+        return clone
+
     def version_count(self) -> int:
         return sum(len(chain) for chain in self._rows.values())
 

@@ -15,8 +15,8 @@ timestamp below which no new snapshot will ever read again:
   the commit log so that committed/aborted clog entries at or below the
   horizon can be pruned.
 
-Primaries vacuum against ``last_commit_ts - retention``; replicas against
-their applied frontier minus the same retention, which keeps every
+A store vacuums against its frontier (``max_commit_ts``) minus the
+retention: on a replica that is the applied frontier, which keeps every
 snapshot the RCP can still hand out readable. Reads below the horizon are
 the caller's responsibility (the classic "snapshot too old" contract).
 """

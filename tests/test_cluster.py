@@ -224,7 +224,7 @@ class TestDdl:
         db.run_for(0.2)
         for replica_list in db.replicas.values():
             for replica in replica_list:
-                assert replica.store.has_table("t2")
+                assert replica.engine.catalog.has_table("t2")
 
     def test_ddl_fence_falls_back_to_primary_until_replayed(self):
         db = quick_db()

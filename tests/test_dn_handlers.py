@@ -98,7 +98,7 @@ class TestHeartbeatRpc:
     def test_gclock_heartbeat_uses_clock_lower_bound(self):
         db, _session = make_db()
         primary = db.primaries[0]
-        before = primary.engine.last_commit_ts
+        before = primary.engine.max_commit_ts
         _ok, ts = rpc(db, db.cns[0], primary.name, ("heartbeat",))
         assert ts >= before
         earliest, latest = primary.gclock.bounds()

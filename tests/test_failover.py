@@ -3,7 +3,11 @@
 import pytest
 
 from repro import ClusterConfig, TransactionAborted, build_cluster, one_region, three_city
+from repro.replication.replica import ReplicaStore
+from repro.sim import Environment
 from repro.sim.units import ms
+from repro.storage import (ColumnDef, RedoDdl, RedoInsert, RedoPendingCommit,
+                           TableSchema, TxnStatus)
 
 
 def build_failover_db(topology=None, **overrides):
@@ -123,7 +127,7 @@ class TestPromotion:
             if replica.failed:
                 continue
             from repro.storage.snapshot import Snapshot
-            row = replica.store.read("accounts", (key,), Snapshot(commit_ts))
+            row = replica.engine.read("accounts", (key,), Snapshot(commit_ts))
             assert row is not None and row["balance"] == 777
 
     def test_rcp_recovers_after_promotion(self):
@@ -192,6 +196,79 @@ class TestPromotion:
         assert row["balance"] == 100  # the in-doubt write rolled back
 
 
+class TestRoleFlip:
+    """Promotion keeps the replica's store and changes its role; a rebuild
+    gives the replica a store of its own."""
+
+    def test_promotion_keeps_the_replayed_store(self):
+        db = build_cluster(ClusterConfig.globaldb(one_region()))
+        load_accounts(db)
+        replica = db.replicas[1][0]
+        store = replica.replayer.store
+        applied = store.applied_lsn
+        assert replica.engine is store and applied > 0
+        replica.promote_to_primary()
+        assert replica.is_primary and replica.replayer is None
+        assert replica.engine is store
+        assert store.wal.start_lsn == applied + 1
+        assert store.heartbeat(store.max_commit_ts) == applied + 1
+
+    def test_promotion_rolls_back_only_the_in_doubt(self):
+        """In-doubt writes are undone. Writes of a transaction short of its
+        commit window stay, as orphans: the new primary never began that
+        transaction, so its undo map has nothing for it."""
+        store = ReplicaStore(Environment(), "dn0r0")
+        schema = TableSchema(name="t", columns=[ColumnDef("k", "int")],
+                             primary_key=("k",))
+        records = [RedoDdl(txid=0, action="create_table", table="t",
+                           payload=schema, commit_ts=1),
+                   RedoInsert(txid=5, table="t", key=(1,), row={"k": 1}),
+                   RedoInsert(txid=6, table="t", key=(2,), row={"k": 2}),
+                   RedoPendingCommit(txid=6)]
+        for lsn, record in enumerate(records, start=1):
+            record.lsn = lsn
+        store.apply_batch(records)
+        assert store.promote() == 1
+        assert store.clog.status(6) is TxnStatus.ABORTED
+        assert store.table("t").versions((2,)) == []
+        assert store.tables_written(5) == set()
+        store.abort(5)
+        assert [v.xmin for v in store.table("t").versions((1,))] == [5]
+
+    def test_rebuilt_replica_shares_no_storage_with_its_source(self):
+        db = build_cluster(ClusterConfig.globaldb(one_region()))
+        load_accounts(db)
+        promoted, rebuilt = db.replicas[1]
+        promoted.promote_to_primary()
+        old_store = rebuilt.engine
+        rebuilt.rebuild_replica_from(promoted)
+        source, copy = promoted.engine, rebuilt.engine
+        assert copy is not old_store and copy is not source
+        assert copy.applied_lsn == source.wal.last_lsn
+        assert copy.max_commit_ts == source.max_commit_ts
+
+        def objects(store):
+            heaps = [store.table(name) for name in store.catalog.tables()]
+            chains = [heap.versions(key) for heap in heaps
+                      for key in heap.keys()]
+            versions = [version for chain in chains for version in chain]
+            records = list(store.clog._records.values())
+            return heaps, chains, versions, records
+
+        def by_value(store):
+            return ([(name, [(key, [(v.xmin, v.xmax, v.data)
+                                    for v in store.table(name).versions(key)])
+                             for key in store.table(name).keys()])
+                     for name in store.catalog.tables()],
+                    [(txid, store.clog.status(txid), store.clog.commit_ts(txid))
+                     for txid in store.clog._records])
+
+        assert by_value(copy) == by_value(source)
+        for ours, theirs in zip(objects(source), objects(copy)):
+            assert theirs and len(theirs) == len(ours)
+            assert not {id(o) for o in ours} & {id(o) for o in theirs}
+
+
 class TestPromotionRcpGuard:
     def test_stale_promoted_replica_covers_advertised_rcp(self):
         """ROR safety on failover: CNs advertise strongly-consistent
@@ -217,7 +294,7 @@ class TestPromotionRcpGuard:
             session.commit()
             db.run_for(0.1)
         db.run_for(0.3)
-        stalled_frontier = laggard.store.max_commit_ts
+        stalled_frontier = laggard.engine.max_commit_ts
         advertised_rcp = max(cn.rcp_state.rcp for cn in db.cns)
         assert advertised_rcp > stalled_frontier, \
             "precondition: the RCP must have advanced past the laggard"
@@ -234,7 +311,7 @@ class TestPromotionRcpGuard:
         assert event.new_primary == laggard.name
         assert event.rcp_gap_healed > 0, \
             "the promotion should have recorded a healed RCP gap"
-        assert db.primaries[shard].engine.last_commit_ts >= advertised_rcp
+        assert db.primaries[shard].engine.max_commit_ts >= advertised_rcp
         # Reads keep working against the promoted (previously stale) node.
         reader = db.session()
         row = reader.read_only("accounts", (key,))

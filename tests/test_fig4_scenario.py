@@ -108,7 +108,7 @@ def test_fig4_pending_holdback_blocks_in_doubt_reads():
         lsn = apply_txn(replica3, lsn, txid=txid, key=key,
                         commit_ts=TS[f"ts{txid}"])
     next_lsn = apply_txn(replica3, lsn, txid=4, key=4, pending_only=True)
-    assert replica3.unresolved_count() == 1
+    assert len(replica3._unresolved) == 1
 
     outcomes = []
 

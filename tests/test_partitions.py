@@ -129,6 +129,6 @@ class TestClusterUnderPartition:
         db.network.set_partition("xian", "dongguan", blocked=False)
         db.run_for(1.0)
         from repro.storage.snapshot import Snapshot
-        row = cut_replica.store.read("t", (key,), Snapshot(commit_ts))
+        row = cut_replica.engine.read("t", (key,), Snapshot(commit_ts))
         assert row is not None and row["v"] == 77
         assert cut_replica.catchup_requests >= 1

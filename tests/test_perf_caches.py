@@ -267,12 +267,11 @@ def test_commit_ts_table_tracks_outcomes():
     assert not clog.is_committed_before(1, 9)
     assert not clog.is_committed_before(2, 99)
     assert not clog.is_committed_before(777, 99)  # unknown txid
-    # rebuild_cache reconstructs the table after wholesale _records swap.
-    records = clog._records
-    rebuilt = CommitLog()
-    rebuilt._records = dict(records)
-    rebuilt.rebuild_cache()
+    # A copy (a replica rebuild's base image) carries the table over.
+    rebuilt = clog.copy()
     assert rebuilt._commit_ts == clog._commit_ts
+    assert all(rebuilt._records[txid] is not record
+               for txid, record in clog._records.items())
 
 
 # ----------------------------------------------------------------------

@@ -38,13 +38,13 @@ class TestHeartbeats:
 
     def test_heartbeats_reach_every_replica(self):
         db, _session = idle_db()
-        before = {replica.store.max_commit_ts
+        before = {replica.engine.max_commit_ts
                   for replica_list in db.replicas.values()
                   for replica in replica_list}
         db.run_for(1.0)
         for replica_list in db.replicas.values():
             for replica in replica_list:
-                assert replica.store.max_commit_ts > max(before)
+                assert replica.engine.max_commit_ts > max(before)
 
     def test_only_collector_sends_heartbeats(self):
         db, _session = idle_db()
@@ -61,7 +61,7 @@ class TestRcpProperties:
             rcp = session.rcp
             for replica_list in db.replicas.values():
                 for replica in replica_list:
-                    assert replica.store.max_commit_ts >= rcp
+                    assert replica.engine.max_commit_ts >= rcp
 
     def test_rcp_monotone_under_load(self):
         db, session = idle_db()
@@ -79,7 +79,7 @@ class TestRcpProperties:
         db.run_for(0.2)
         victim = db.replicas[3][0]
         victim.fail()
-        stuck_frontier = victim.store.max_commit_ts
+        stuck_frontier = victim.engine.max_commit_ts
         db.run_for(0.5)
         # RCP moved past the dead replica's frozen frontier.
         assert session.rcp > stuck_frontier
@@ -93,7 +93,7 @@ class TestRcpProperties:
         for shipper in db.shippers:
             if shipper.dst == target.name:
                 shipper.pause()
-        frozen = target.store.max_commit_ts
+        frozen = target.engine.max_commit_ts
         db.run_for(0.5)
         assert session.rcp <= frozen
 
@@ -155,7 +155,7 @@ class TestSafeTimeWait:
         db.run_for(0.3)
         shard = db.shard_map.shard_for_key("t", (1,))
         replica = db.replicas[shard][0]
-        target_ts = replica.store.max_commit_ts + ms(50)
+        target_ts = replica.engine.max_commit_ts + ms(50)
         outcome = []
 
         def reader():
@@ -164,8 +164,8 @@ class TestSafeTimeWait:
 
         def _read_at(replica, read_ts):
             from repro.storage.snapshot import Snapshot
-            yield from replica.store.wait_frontier(read_ts)
-            result = yield from replica.store.read_waiting(
+            yield from replica.engine.wait_frontier(read_ts)
+            result = yield from replica.engine.read_waiting(
                 "t", (1,), Snapshot(read_ts))
             return result
 

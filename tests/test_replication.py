@@ -176,9 +176,9 @@ class TestReplicaStore:
         for lsn, record in enumerate(records, start=1):
             record.lsn = lsn
         store.apply(records[0])
-        assert store.unresolved_count() == 1
+        assert len(store._unresolved) == 1
         store.apply(records[1])
-        assert store.unresolved_count() == 0
+        assert len(store._unresolved) == 0
         assert env.events_scheduled == before
 
     def test_abort_rolls_back_replica_state(self):
@@ -189,7 +189,7 @@ class TestReplicaStore:
         engine.abort(2)
         env.run(until=ms(60))
         assert store.read("t", (1,), Snapshot(10**15)) == {"k": 1, "v": "a"}
-        assert store.unresolved_count() == 0
+        assert len(store._unresolved) == 0
 
     def test_heartbeat_advances_frontier_without_data(self):
         env, _net, engine, store, _rep, _shipper, _acks = make_pair()
@@ -203,10 +203,10 @@ class TestReplicaStore:
         engine.insert(3, "t", {"k": 7, "v": "p"})
         engine.prepare(3)
         env.run(until=ms(40))
-        assert store.unresolved_count() == 1  # prepared, in doubt
+        assert len(store._unresolved) == 1  # prepared, in doubt
         engine.commit_prepared(3, commit_ts=200)
         env.run(until=ms(100))
-        assert store.unresolved_count() == 0
+        assert len(store._unresolved) == 0
         assert store.read("t", (7,), Snapshot(200)) is not None
 
     def test_replica_update_chains_versions(self):
@@ -431,7 +431,7 @@ class TestEndToEndSyncCommit:
         db.run_for(0.3)
         # The ack and the replay timer; the replayer took the batch.
         assert log == [(2, 0)]
-        assert replica.store.max_commit_ts == 12345
+        assert replica.engine.max_commit_ts == 12345
 
     def test_a_redo_batch_that_shares_its_tick_is_pushed(self):
         db, primary, (replica, _other) = quiet_three_city()
@@ -441,7 +441,7 @@ class TestEndToEndSyncCommit:
         # The ack and the wake-up; the batch waits for the wake-up, which
         # runs after the entry queued behind the delivery.
         assert log == [(2, 1), "behind"]
-        assert replica.store.max_commit_ts == 12345
+        assert replica.engine.max_commit_ts == 12345
 
     def test_one_record_flush_to_two_replicas_costs_seven_entries(self):
         """One shared flush timer, two batch deliveries, two replay timers

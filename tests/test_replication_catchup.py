@@ -44,11 +44,11 @@ class TestCatchup:
         commit_ts = session.commit()
         db.run_for(0.5)
         assert victim.catchup_requests >= 1
-        row = victim.store.read("t", (keys[0],), Snapshot(commit_ts))
+        row = victim.engine.read("t", (keys[0],), Snapshot(commit_ts))
         assert row is not None and row["v"] == 999
         # And the previously-missed updates are all present too.
         for value, key in enumerate(keys[1:], start=1):
-            row = victim.store.read("t", (key,), Snapshot(commit_ts))
+            row = victim.engine.read("t", (key,), Snapshot(commit_ts))
             assert row is not None and row["v"] == 100 + value
 
     def test_no_acks_for_non_contiguous_batches(self):
@@ -95,7 +95,7 @@ class TestCatchup:
         db.run_for(0.5)
         # The replica caught up, so the (min-based) RCP moved on.
         assert session.rcp > rcp_during_outage
-        assert victim.store.max_commit_ts >= rcp_during_outage
+        assert victim.engine.max_commit_ts >= rcp_during_outage
 
     def test_consistency_preserved_through_outage_window(self):
         """Reads routed to the recovered replica never see the hole."""
@@ -112,5 +112,5 @@ class TestCatchup:
         db.run_for(0.6)
         # Direct read on the recovered replica at a snapshot covering the
         # missed commit: must show it (safe-time + catch-up), not a hole.
-        row = victim.store.read("t", (keys[0],), Snapshot(commit_ts))
+        row = victim.engine.read("t", (keys[0],), Snapshot(commit_ts))
         assert row is not None and row["v"] == 50

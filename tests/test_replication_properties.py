@@ -73,7 +73,7 @@ class TestReplicaConvergence:
     @given(operations=operation_strategy)
     def test_replica_matches_primary_at_every_snapshot(self, operations):
         engine, store, max_ts = run_history(operations)
-        assert store.unresolved_count() == 0
+        assert len(store._unresolved) == 0
         for probe in range(0, max_ts + 11, 10):
             snapshot = Snapshot(probe)
             for key in KEYS:
@@ -85,7 +85,7 @@ class TestReplicaConvergence:
     @given(operations=operation_strategy)
     def test_replica_frontier_matches_last_commit(self, operations):
         engine, store, _max_ts = run_history(operations)
-        assert store.max_commit_ts == engine.last_commit_ts
+        assert store.max_commit_ts == engine.max_commit_ts
 
     @settings(max_examples=40, deadline=None)
     @given(operations=operation_strategy)

@@ -55,7 +55,7 @@ def test_replica_versions_hold_the_primarys_images():
     for shard, primary in enumerate(db.primaries):
         for replica in db.replicas[shard]:
             for name, heap in primary.engine._tables.items():
-                mirror = replica.store.table(name)
+                mirror = replica.engine.table(name)
                 assert len(mirror) == len(heap)
                 for key in heap.keys():
                     ours, theirs = heap.versions(key), mirror.versions(key)

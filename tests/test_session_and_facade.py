@@ -81,7 +81,7 @@ class TestSession:
             row["v"] = -1
             row["junk"] = True
         stores = [primary.engine for primary in db.primaries]
-        stores += [replica.store for replicas in db.replicas.values()
+        stores += [replica.engine for replicas in db.replicas.values()
                    for replica in replicas]
         stored = [version.data for store in stores
                   for version in store.table("t").versions((1,))]
@@ -155,7 +155,7 @@ class TestGlobalDbFacade:
             images = [version.data
                       for node in [*db.primaries,
                                    *(r for rs in db.replicas.values() for r in rs)]
-                      for store in [node.engine or node.store]
+                      for store in [node.engine]
                       for version in store.table("t").versions((key,))]
             assert images[0] == {"k": key, "v": key}
             assert all(image is images[0] for image in images)

@@ -159,7 +159,7 @@ class TestChainWalkProperties:
             replica.apply(record)
             if index % vacuum_every == 0:
                 replica.vacuum(retention_ns=retention_steps * 10)
-            if replica.has_table("t"):
+            if replica.catalog.has_table("t"):
                 for key in KEYS:  # every prefix of the WAL, not only the end
                     assert_snapshot_order(
                         replica.clog, replica.table("t").versions((key,)))

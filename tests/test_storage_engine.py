@@ -353,7 +353,7 @@ class TestRedoStream:
     def test_heartbeat_advances_last_commit_ts(self):
         env, engine = make_engine()
         engine.heartbeat(999)
-        assert engine.last_commit_ts == 999
+        assert engine.max_commit_ts == 999
 
 
 class TestScanAndIndex:

@@ -64,7 +64,7 @@ class TestSyncTables:
         # Acked means persisted; give the replayer its (tiny) apply time.
         db.env.run_for(ms(1))
         for replica in db.replicas[shard]:
-            row = replica.store.read("t_sync", (7,), Snapshot(commit_ts))
+            row = replica.engine.read("t_sync", (7,), Snapshot(commit_ts))
             assert row == {"k": 7, "v": 7}
 
     def test_async_tables_unaffected_by_sync_neighbours(self):

@@ -123,7 +123,7 @@ class TestVacuumInCluster:
         assert primary.engine.table("t").version_count() < 20
         # Replicas vacuum too.
         replica = db.replicas[shard][0]
-        assert replica.store.table("t").version_count() < 20
+        assert replica.engine.table("t").version_count() < 20
         # Current data still correct everywhere.
         session.begin()
         assert session.read("t", (1,))["v"] == 59

@@ -96,7 +96,7 @@ class TestVacuumProperties:
     def test_reads_above_horizon_unchanged(self, operations, retention_steps):
         engine, max_ts = build_history(operations)
         retention = retention_steps * 10
-        horizon = engine.last_commit_ts - retention
+        horizon = engine.max_commit_ts - retention
         probe_points = [ts for ts in range(0, max_ts + 11, 10)
                         if ts >= horizon]
         before = {
@@ -128,7 +128,7 @@ class TestVacuumProperties:
         engine, max_ts = build_history(operations)
         engine.vacuum(retention_ns=0)
         heap = engine.table("t")
-        snapshot = Snapshot(engine.last_commit_ts)
+        snapshot = Snapshot(engine.max_commit_ts)
         for key in range(1, 5):
             versions = heap.versions((key,))
             assert len(versions) <= 1
@@ -143,7 +143,7 @@ class TestVacuumProperties:
     def test_latest_committed_still_updatable_after_vacuum(self, operations):
         engine, max_ts = build_history(operations)
         engine.vacuum(retention_ns=0)
-        snapshot = Snapshot(engine.last_commit_ts)
+        snapshot = Snapshot(engine.max_commit_ts)
         for key in range(1, 5):
             exists = engine.read("t", (key,), snapshot) is not None
             txid = 10_000 + key

@@ -66,7 +66,7 @@ def store_state(dn) -> tuple:
     timestamp, its indexed columns and every key's chain as ``(xmin, xmax,
     data)`` newest first; the commit log, the frontier, and the applied LSN
     (replica) or the WAL bounds (primary)."""
-    store = dn.engine if dn.is_primary else dn.store
+    store = dn.engine
     tables = []
     for name in sorted(store.catalog.tables()):
         heap = store.table(name)
@@ -81,12 +81,10 @@ def store_state(dn) -> tuple:
             for txid in sorted(store.clog._records)]
     if dn.is_primary:
         position = ("wal", store.wal.start_lsn, store.wal.last_lsn)
-        frontier = store.last_commit_ts
     else:
         position = ("applied", store.applied_lsn)
-        frontier = store.max_commit_ts
     return (dn.name, dn.role, tables, store.catalog.max_ddl_ts, clog,
-            frontier, position)
+            store.max_commit_ts, position)
 
 
 def test_failover_outcome_matches_recording():
