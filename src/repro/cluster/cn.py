@@ -166,13 +166,18 @@ class ComputingNode(ClusterNode):
 
     def _write_op(self, ctx: TxnContext, shard: int, body: tuple):
         """Generator: one row write (or row lock) on a shard primary; a
-        write-write conflict aborts the transaction."""
+        write-write conflict, or a SET value that raised there, aborts the
+        transaction."""
         ctx.touched_shards.add(shard)
         ctx.write_shards.add(shard)
         reply = yield from self._op(ctx, shard, body)
         if reply[0] == "conflict":
             yield from self.g_abort(ctx)
             raise WriteConflict(reply[1])
+        if reply[0] == "error":
+            yield from self.g_abort(ctx)
+            raise SqlError(f"{body[0]} of {body[2]} failed: {reply[1]!r}") \
+                from reply[1]
         return reply[1]
 
     def _each_primary(self, shards: typing.Iterable[int], body: tuple):

@@ -23,8 +23,6 @@ timeout, lock and commit-window waits, and the reply message.
 
 from __future__ import annotations
 
-import typing
-
 from repro.errors import NetworkError, TransactionAborted, WriteConflict
 from repro.replication.quorum import AckTracker, ReplicationPolicy
 from repro.replication.replayer import Replayer
@@ -396,8 +394,7 @@ class DataNode(ClusterNode):
     # Writes (primary)
     # ------------------------------------------------------------------
     def _ensure_begun(self, txid: int) -> None:
-        if not self.engine.clog.known(txid):
-            self.engine.begin(txid)
+        self.engine.clog.ensure(txid)
 
     def _handle_insert(self, request: Request) -> None:
         def run():
@@ -406,9 +403,6 @@ class DataNode(ClusterNode):
             self._ensure_begun(txid)
             try:
                 self.engine.insert(txid, table, row)
-            except TransactionAborted as exc:  # pragma: no cover - defensive
-                request.reply(("conflict", str(exc)))
-                return
             except Exception as exc:
                 request.reply(("error", exc))
                 return
@@ -425,24 +419,15 @@ class DataNode(ClusterNode):
             except WriteConflict as exc:
                 request.reply(("conflict", str(exc)))
                 return
-            resolved = self._resolve_changes(txid, table, key, changes)
-            row = self.engine.update(txid, table, key, resolved)
+            try:
+                row = self.engine.update(txid, table, key, changes)
+            except Exception as exc:
+                # A SET value that raises (``v / 0``) fails the statement,
+                # not the node; the caller aborts, which frees the lock.
+                request.reply(("error", exc))
+                return
             request.reply(("ok", row))
         self._spawn(run(), "update")
-
-    def _resolve_changes(self, txid: int, table: str, key: tuple,
-                         changes: typing.Mapping) -> dict:
-        """Evaluate callable change values against the current row —
-        modelling SQL's ``SET col = col + 1`` read-modify-write."""
-        if not any(callable(value) for value in changes.values()):
-            return dict(changes)
-        heap = self.engine.table(table)
-        current = self.engine.current_for_write(heap, key, txid)
-        base = current.data if current is not None else {}
-        resolved = {}
-        for column, value in changes.items():
-            resolved[column] = value(base.get(column)) if callable(value) else value
-        return resolved
 
     def _handle_delete(self, request: Request) -> None:
         def run():
@@ -479,8 +464,7 @@ class DataNode(ClusterNode):
         def run():
             _kind, txid, txn_mode = request.body
             yield from self._work(COMMIT_NS)
-            if not self.engine.clog.known(txid):
-                self.engine.begin(txid)  # read-only on this shard: trivial
+            self._ensure_begun(txid)  # read-only on this shard: trivial
             policy = self._commit_policy(txid)
             self.engine.log_pending_commit(txid)
             try:

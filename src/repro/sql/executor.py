@@ -392,8 +392,13 @@ class SqlExecutor:
                 if current is None:
                     continue
                 full = dict(changes)
-                for column, value in computed:
-                    full[column] = value(current)
+                try:
+                    for column, value in computed:
+                        full[column] = value(current)
+                except Exception as exc:
+                    yield from self.cn.g_abort(ctx)
+                    raise SqlError(f"SET on {statement.table} failed: "
+                                   f"{exc!r}") from exc
                 result = yield from self.cn.g_update(ctx, statement.table,
                                                      target, full)
             else:

@@ -3,28 +3,33 @@
 :class:`StorageEngine` owns a shard's catalog, commit log, heaps, undo map,
 frontier (``max_commit_ts``) and the read holdback, with the read, scan,
 index-lookup, vacuum and bulk-load paths a primary and its replicas share.
-The roles differ in how the state changes:
+Both roles write rows through one path, the replay handlers
+``_apply_insert``/``_apply_update``/``_apply_delete``: only they build row
+versions, and only :meth:`_note_undo` records undo.
 
-- A **primary** runs the write API. DML creates versions at once and
-  streams matching redo into the WAL (steal-style), so replication lag is
-  governed purely by shipping and replay. Updates and deletes use
-  read-committed write semantics (as in GaussDB/openGauss): after the row
-  lock is granted, the write applies to the *latest committed* version,
-  not the transaction's snapshot, which keeps TPC-C abort rates realistic
-  for hot rows. The row lock also upholds the chain invariant
-  (:mod:`repro.storage.heap`) that finds that version at the head of its
-  chain; the engine trusts its caller to hold it. Commit follows §IV-A: a
-  ``PENDING_COMMIT`` record is logged *before* the commit timestamp is
-  obtained, then the ``COMMIT`` record carries the timestamp.
-- A **replica** applies the primary's redo in LSN order (:meth:`apply_batch`).
+- A **replica** applies the primary's redo in LSN order (:meth:`apply_batch`),
+  and a handler finds the superseded version itself (:meth:`_current_unended`).
+- A **primary**'s DML checks the write (duplicate key, concurrent insert,
+  :meth:`current_for_write`), evaluates callable SET values, appends the
+  redo record, then applies it through the same handler with the version
+  its check found: versions exist at once (steal-style). Updates and
+  deletes use read-committed write semantics (as in GaussDB/openGauss):
+  after the row lock is granted, the write applies to the *latest
+  committed* version, not the transaction's snapshot, which keeps TPC-C
+  abort rates realistic for hot rows. The row lock also upholds the chain
+  invariant (:mod:`repro.storage.heap`) that finds that version at the
+  head of its chain; the engine trusts its caller to hold it. Commit
+  follows §IV-A: a ``PENDING_COMMIT`` record is logged *before* the commit
+  timestamp is obtained, then the ``COMMIT`` record carries the timestamp.
 
 A transaction is *unresolved* from its ``PENDING_COMMIT`` or ``PREPARE``
 until its outcome, and a reader whose visibility check touches one of its
 tuples waits for it (:meth:`read_waiting`): on a replica the outcome may
 not be replayed yet, and on a primary a GClock commit timestamp can land
 below an existing snapshot. Promotion flips a replica's store to the
-primary role in place (:meth:`promote`); a rebuild seeds a new replica
-store from a primary's (:meth:`copy_into`).
+primary role in place (:meth:`promote`). A rebuild copies a primary's
+store, in-flight undo and holdback included (:meth:`copy_into`), and
+replays the WAL from the copy's tail: a base image plus redo.
 """
 
 from __future__ import annotations
@@ -125,7 +130,6 @@ class StorageEngine:
     # ------------------------------------------------------------------
     def begin(self, txid: int) -> None:
         self.clog.begin(txid)
-        self._undo[txid] = []
 
     def is_active(self, txid: int) -> bool:
         return (self.clog.known(txid)
@@ -142,9 +146,15 @@ class StorageEngine:
 
     def commit(self, txid: int, commit_ts: int) -> int:
         """Commit locally and log the commit record. Returns its LSN."""
+        return self._commit(txid, commit_ts,
+                            RedoCommit(txid=txid, commit_ts=commit_ts))
+
+    def _commit(self, txid: int, commit_ts: int, record) -> int:
+        """Commit ``txid`` at ``commit_ts``, log ``record``, then release
+        its row locks before waking readers held back on it."""
         self.clog.commit(txid, commit_ts)
         self._undo.pop(txid, None)
-        lsn = self.wal.append(RedoCommit(txid=txid, commit_ts=commit_ts))
+        lsn = self.wal.append(record)
         self.locks.release_all(txid)
         self._note_commit_ts(commit_ts)
         self._resolve(txid)
@@ -187,13 +197,8 @@ class StorageEngine:
     def commit_prepared(self, txid: int, commit_ts: int) -> int:
         if self.clog.status(txid) is not TxnStatus.PREPARED:
             raise TransactionError(f"transaction {txid} is not prepared")
-        self.clog.commit(txid, commit_ts)
-        self._undo.pop(txid, None)
-        lsn = self.wal.append(RedoCommitPrepared(txid=txid, commit_ts=commit_ts))
-        self.locks.release_all(txid)
-        self._note_commit_ts(commit_ts)
-        self._resolve(txid)
-        return lsn
+        return self._commit(txid, commit_ts,
+                            RedoCommitPrepared(txid=txid, commit_ts=commit_ts))
 
     def abort_prepared(self, txid: int) -> int:
         if self.clog.status(txid) is not TxnStatus.PREPARED:
@@ -215,7 +220,7 @@ class StorageEngine:
     _note_applied = _note_commit_ts
 
     # ------------------------------------------------------------------
-    # DML (primary)
+    # DML (primary): check, log, then apply through the replay handlers
     # ------------------------------------------------------------------
     def insert(self, txid: int, table: str, row: dict) -> None:
         schema = self.catalog.table(table)
@@ -233,15 +238,15 @@ class StorageEngine:
             if version.xmax is None:
                 raise DuplicateKeyError(
                     f"concurrent insert of key {key} in {table}")
-        version = RowVersion(key=key, data=dict(row), xmin=txid)
-        heap.add_version(version)
-        self._undo[txid].append(("insert", heap, version, None))
-        self.wal.append(RedoInsert(txid=txid, table=table, key=key,
-                                   row=version.data))
+        record = RedoInsert(txid=txid, table=table, key=key, row=dict(row))
+        self.wal.append(record)
+        self._apply_insert(record)
 
     def update(self, txid: int, table: str, key: tuple,
                changes: typing.Mapping[str, typing.Any]) -> dict | None:
-        """Apply ``changes`` to the latest committed version of ``key``.
+        """Apply ``changes`` to the latest committed version of ``key``; a
+        callable value maps the column's old value to its new one (``SET
+        col = col + 1``), and one that raises changes nothing.
 
         The caller must already hold the row lock. Returns the new row, or
         None if the row does not exist (or is deleted).
@@ -251,13 +256,13 @@ class StorageEngine:
         if current is None:
             return None
         new_data = dict(current.data)
-        new_data.update(changes)
-        current.xmax = txid
-        version = RowVersion(key=key, data=new_data, xmin=txid)
-        heap.add_version(version)
-        self._undo[txid].append(("update", heap, version, current))
-        self.wal.append(RedoUpdate(txid=txid, table=table, key=key,
-                                   row=new_data))
+        for column, value in changes.items():
+            if callable(value):
+                value = value(current.data.get(column))
+            new_data[column] = value
+        record = RedoUpdate(txid=txid, table=table, key=key, row=new_data)
+        self.wal.append(record)
+        self._apply_update(record, current)
         return new_data
 
     def delete(self, txid: int, table: str, key: tuple) -> bool:
@@ -267,15 +272,16 @@ class StorageEngine:
         current = self.current_for_write(heap, key, txid)
         if current is None:
             return False
-        current.xmax = txid
-        self._undo[txid].append(("delete", heap, None, current))
-        self.wal.append(RedoDelete(txid=txid, table=table, key=key))
+        record = RedoDelete(txid=txid, table=table, key=key)
+        self.wal.append(record)
+        self._apply_delete(record, current)
         return True
 
     def current_for_write(self, heap: HeapTable, key: tuple,
                           txid: int) -> RowVersion | None:
         """The version a write by ``txid`` targets: its own un-ended write,
-        else the committed version no committed transaction has ended.
+        else the committed version neither a committed transaction nor
+        ``txid`` itself has ended.
 
         By the chain invariant (see :mod:`repro.storage.heap`) at most one
         version qualifies, so the newest-first walk returns at the first
@@ -288,30 +294,23 @@ class StorageEngine:
             if xmax is None:
                 if version.xmin == txid or version.xmin in committed:
                     return version
-            elif (version.xmin in committed and xmax not in committed
-                    and self.clog.known(xmax)):
+            elif (version.xmin in committed and xmax != txid
+                    and xmax not in committed and self.clog.known(xmax)):
                 return version
         return None
 
     # ------------------------------------------------------------------
-    # Redo application (replica)
+    # Redo application (replay, and the primary's DML)
     # ------------------------------------------------------------------
     def apply(self, record: RedoRecord) -> None:
         """Apply one redo record (records must arrive in LSN order)."""
-        if record.lsn and record.lsn <= self.applied_lsn:
-            return  # duplicate delivery (e.g. catch-up overlap)
-        handler = self._APPLY[type(record)]
-        handler(self, record)
-        if record.lsn:
-            self.applied_lsn = record.lsn
-        self.records_applied += 1
+        self.apply_batch([record])
 
     def apply_batch(self, records: list[RedoRecord]) -> None:
-        """Apply a batch of redo records in order.
-
-        Equivalent to ``for r in records: self.apply(r)`` with the dispatch
-        table and bookkeeping hoisted out of the loop — the replayer's hot
-        path applies thousands of records per simulated batch."""
+        """Apply redo records in LSN order, skipping any at or below
+        ``applied_lsn`` (a duplicate delivery, e.g. catch-up overlap). The
+        dispatch table and bookkeeping are hoisted out of the loop — the
+        replayer's hot path applies thousands of records per batch."""
         dispatch = self._APPLY
         applied_lsn = self.applied_lsn
         count = 0
@@ -326,6 +325,8 @@ class StorageEngine:
         self.applied_lsn = applied_lsn
         self.records_applied += count
 
+    # ``old``: the version the write supersedes, if the primary's check
+    # found it; replay looks it up.
     def _apply_insert(self, record: RedoInsert) -> None:
         self.clog.ensure(record.txid)
         heap = self.table(record.table)
@@ -335,20 +336,24 @@ class StorageEngine:
         heap.add_version(version)
         self._note_undo(record.txid, ("insert", heap, version, None))
 
-    def _apply_update(self, record: RedoUpdate) -> None:
+    def _apply_update(self, record: RedoUpdate,
+                      old: RowVersion | None = None) -> None:
         self.clog.ensure(record.txid)
         heap = self.table(record.table)
-        old = self._current_unended(heap, record.key)
+        if old is None:
+            old = self._current_unended(heap, record.key)
         if old is not None:
             old.xmax = record.txid
         version = RowVersion(key=record.key, data=record.row, xmin=record.txid)
         heap.add_version(version)
         self._note_undo(record.txid, ("update", heap, version, old))
 
-    def _apply_delete(self, record: RedoDelete) -> None:
+    def _apply_delete(self, record: RedoDelete,
+                      old: RowVersion | None = None) -> None:
         self.clog.ensure(record.txid)
         heap = self.table(record.table)
-        old = self._current_unended(heap, record.key)
+        if old is None:
+            old = self._current_unended(heap, record.key)
         if old is not None:
             old.xmax = record.txid
             self._note_undo(record.txid, ("delete", heap, None, old))
@@ -427,12 +432,20 @@ class StorageEngine:
 
     def copy_into(self, store: StorageEngine) -> None:
         """Make ``store`` a snapshot of this one at its WAL's tail (a
-        rebuild's base image): catalog, commit log and chains are copied,
-        row images shared, so later writes reach it only as redo."""
+        rebuild's base image): catalog, commit log and chains copied, row
+        images shared, in-flight undo (onto the copied versions) and the
+        holdback carried, so replaying the WAL past the tail leaves
+        ``store`` equal to this one."""
+        memo: dict[RowVersion, RowVersion] = {}
         store.catalog = self.catalog.copy()
         store.clog = self.clog.copy()
-        store._tables = {name: heap.copy()
+        store._tables = {name: heap.copy(memo)
                          for name, heap in self._tables.items()}
+        store._undo = {
+            txid: [(kind, store._tables[heap.name], memo.get(version),
+                    memo.get(old)) for kind, heap, version, old in entries]
+            for txid, entries in self._undo.items()}
+        store._unresolved = dict.fromkeys(self._unresolved)
         store.max_commit_ts = self.max_commit_ts
         store.applied_lsn = self.wal.last_lsn
 

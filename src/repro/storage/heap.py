@@ -259,15 +259,17 @@ class HeapTable:
     def keys(self) -> typing.Iterator[tuple]:
         return iter(self._rows)
 
-    def copy(self) -> HeapTable:
+    def copy(self, memo: dict) -> HeapTable:
         """A copy with its own chains and versions, sharing each version's
-        image (image immutability); its indexes are rebuilt."""
+        image (image immutability); its indexes are rebuilt. ``memo`` gets
+        each original version mapped to its copy."""
         clone = HeapTable(self.name)
-        clone._rows = {
-            key: [RowVersion(key=version.key, data=version.data,
-                             xmin=version.xmin, xmax=version.xmax)
-                  for version in versions]
-            for key, versions in self._rows.items()}
+        for key, versions in self._rows.items():
+            copies = clone._rows[key] = [
+                RowVersion(key=version.key, data=version.data,
+                           xmin=version.xmin, xmax=version.xmax)
+                for version in versions]
+            memo.update(zip(versions, copies))
         for column in self._indexes:
             clone.create_index(column)
         return clone

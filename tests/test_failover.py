@@ -235,6 +235,29 @@ class TestRoleFlip:
         store.abort(5)
         assert [v.xmin for v in store.table("t").versions((1,))] == [5]
 
+    def test_promoted_primary_continues_a_replayed_transaction(self):
+        """A CN may continue a transaction whose write reached the replica
+        before the failover and whose commit did not. The promoted primary
+        knows the txid from replay but never began it; the next update
+        still records its undo and answers ``ok``."""
+        db = build_cluster(ClusterConfig.globaldb(one_region()))
+        load_accounts(db)
+        key = key_on_shard(db, 1)
+        primary, promoted = db.primaries[1], db.replicas[1][0]
+        txid = 777_777
+        primary.engine.begin(txid)
+        primary.engine.update(txid, "accounts", (key,), {"balance": 1})
+        db.run_for(0.3)  # the write reaches the replicas
+        primary.fail()
+        promoted.promote_to_primary()
+        request = db.network.request(
+            db.cns[0].name, promoted.name,
+            ("update", txid, "accounts", (key,), {"balance": 2}))
+        db.run_for(0.1)  # no exception leaves the data node's dispatch
+        assert request.ok
+        assert request.value == ("ok", {"id": key, "balance": 2})
+        assert promoted.engine.tables_written(txid) == {"accounts"}
+
     def test_rebuilt_replica_shares_no_storage_with_its_source(self):
         db = build_cluster(ClusterConfig.globaldb(one_region()))
         load_accounts(db)

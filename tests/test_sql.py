@@ -418,6 +418,25 @@ class TestEndToEnd:
         assert session.execute("SELECT age FROM users WHERE id = 1") == \
             [{"age": 99}]
 
+    def test_a_row_deleted_by_its_own_transaction_is_gone_to_it(
+            self, db_session):
+        """After its own DELETE, a transaction finds no row to update or
+        read for update, and may insert the key afresh."""
+        _db, session = db_session
+        session.execute("BEGIN")
+        session.execute("DELETE FROM users WHERE id = 1")
+        result = session.execute("UPDATE users SET age = 1 WHERE id = 1")
+        assert result["count"] == 0
+        # A computed SET reads the row for update first: nothing either.
+        result = session.execute("UPDATE users SET age = id * 10 WHERE id = 1")
+        assert result["count"] == 0
+        assert session.execute("SELECT * FROM users WHERE id = 1") == []
+        session.execute("INSERT INTO users (id, name, age, city) VALUES "
+                        "(1, 'new', 7, 'oslo')")
+        session.execute("COMMIT")
+        assert session.execute("SELECT name, age FROM users WHERE id = 1") \
+            == [{"name": "new", "age": 7}]
+
     def test_create_index_via_sql(self, db_session):
         db, session = db_session
         session.execute("CREATE INDEX ON users (city)")
@@ -548,6 +567,21 @@ class TestStatementErrors:
             {"age": 5}]
         assert session.execute("SELECT COUNT(*) AS n FROM users") == [
             {"n": 3}]
+
+    @pytest.mark.parametrize("assignment", [
+        "age = age / 0",     # evaluated on the data node
+        "age = name + 1",    # evaluated on the coordinator
+    ])
+    def test_raising_set_value_releases_its_row_lock(self, nullable_session,
+                                                     assignment):
+        db, session = nullable_session
+        with pytest.raises(SqlError):
+            session.execute(f"UPDATE users SET {assignment} WHERE id = 3")
+        other = db.session()
+        result = other.execute("UPDATE users SET age = 6 WHERE id = 3")
+        assert result["count"] == 1 and result["commit_ts"] > 0
+        assert session.execute("SELECT age FROM users WHERE id = 3") == [
+            {"age": 6}]
 
     def test_order_by_sorts_nulls_last_ascending_first_descending(
             self, nullable_session):

@@ -3,7 +3,10 @@ replay paths return the very version a full scan of the chain would.
 
 The reference implementations below are the pre-early-exit code, kept here
 only: they look at every version of the chain and pick by commit
-timestamp, relying on no ordering of the chain at all. The histories come
+timestamp, relying on no ordering of the chain at all. A write never
+targets a version its own transaction ended. The primary applies each
+write through replay's handler, and the version it hands over is the one
+replay's own lookup (``_current_unended``) would find. The histories come
 from ``test_vacuum_properties.build_history`` — lock-disciplined, with
 aborts, 2PC, interleaved vacuum (frozen ``xmin=0``, clog-pruned ``xmax``)
 and one multi-statement transaction that may stay in flight. The same
@@ -30,14 +33,14 @@ history_strategy = st.lists(
     min_size=10, max_size=80)
 
 
-def reference_latest_committed(clog, chain):
-    """Full scan: the committed, un-superseded version with the largest
-    commit timestamp."""
+def reference_latest_committed(clog, chain, txid):
+    """Full scan: the committed version with the largest commit timestamp
+    that neither a committed transaction nor ``txid`` has ended."""
     best = None
     best_ts = -1
     for version in chain:
         created_ts = clog.commit_ts(version.xmin)
-        if created_ts is None:
+        if created_ts is None or version.xmax == txid:
             continue
         if version.xmax is not None:
             end_status = (clog.status(version.xmax)
@@ -54,7 +57,7 @@ def reference_write_target(clog, chain, txid):
     for version in chain:
         if version.xmin == txid and version.xmax is None:
             return version
-    return reference_latest_committed(clog, chain)
+    return reference_latest_committed(clog, chain, txid)
 
 
 def reference_insert_verdict(clog, chain, txid):
@@ -88,7 +91,8 @@ def reference_superseded(chain, txid):
 
 class CheckedEngine(StorageEngine):
     """Asserts every write-target walk and insert verdict against the
-    full-scan references."""
+    full-scan references, and that each version a write hands to replay's
+    handler is the one replay would find."""
 
     def current_for_write(self, heap, key, txid):
         found = super().current_for_write(heap, key, txid)
@@ -105,6 +109,16 @@ class CheckedEngine(StorageEngine):
             assert verdict is not None and verdict in str(exc)
             raise
         assert verdict is None
+
+    def _apply_update(self, record, old=None):
+        assert old is self._current_unended(self.table(record.table),
+                                            record.key)
+        super()._apply_update(record, old)
+
+    def _apply_delete(self, record, old=None):
+        assert old is self._current_unended(self.table(record.table),
+                                            record.key)
+        super()._apply_delete(record, old)
 
 
 class CheckedReplica(ReplicaStore):

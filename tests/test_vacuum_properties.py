@@ -8,7 +8,7 @@ from repro.sim import Environment
 from repro.storage import ColumnDef, Snapshot, StorageEngine, TableSchema
 
 
-def build_history(operations, engine_cls=StorageEngine):
+def build_history(operations, engine_cls=StorageEngine, on_step=None):
     """Apply a random lock-disciplined history; return (engine, max_ts).
 
     ``operations`` is a list of ``(key, op, outcome)``. ``op`` is
@@ -22,6 +22,8 @@ def build_history(operations, engine_cls=StorageEngine):
     nothing finishes it. Every other statement is its own transaction.
     Upserts and deletes take the row lock first, as a data node does; a
     statement that would wait for the open transaction's lock is skipped.
+    ``on_step(engine)``, if given, runs after each operation and inside
+    each commit window (after ``PENDING_COMMIT`` or ``PREPARE``).
     """
     env = Environment()
     engine = engine_cls(env, "dn")
@@ -31,14 +33,20 @@ def build_history(operations, engine_cls=StorageEngine):
     next_txid = 0
     open_txid = None
 
+    def step():
+        if on_step is not None:
+            on_step(engine)
+
     def finish(txid, outcome, did_something):
         if outcome in (True, "commit") and did_something:
             engine.log_pending_commit(txid)
+            step()
             engine.commit(txid, ts)
         elif outcome in (False, "abort") or not did_something:
             engine.abort(txid)
         else:
             engine.prepare(txid)
+            step()
             if outcome == "prepare_commit":
                 engine.commit_prepared(txid, ts)
             else:
@@ -48,11 +56,13 @@ def build_history(operations, engine_cls=StorageEngine):
         ts += 10
         if op == "vacuum":
             engine.vacuum(retention_ns=(key - 1) * 10)
+            step()
             continue
         if op == "finish":
             if open_txid is not None and outcome != "hold":
                 finish(open_txid, outcome, True)
                 open_txid = None
+            step()
             continue
         if outcome == "hold" and open_txid is not None:
             txid = open_txid
@@ -79,6 +89,7 @@ def build_history(operations, engine_cls=StorageEngine):
                     pass  # the key is live, or inserted by the open txn
         if txid != open_txid:
             finish(txid, outcome, did_something)
+        step()
     return engine, ts
 
 

@@ -61,12 +61,11 @@ def test_workload_outcome_matches_recording(name):
 FAILOVER_PINNED = "de52a660f0040d9c"
 
 
-def store_state(dn) -> tuple:
-    """What a data node's store holds, by value: per table its DDL
-    timestamp, its indexed columns and every key's chain as ``(xmin, xmax,
-    data)`` newest first; the commit log, the frontier, and the applied LSN
-    (replica) or the WAL bounds (primary)."""
-    store = dn.engine
+def store_fields(store) -> tuple:
+    """What a store holds, by value: per table its DDL timestamp, its
+    indexed columns and every key's chain as ``(xmin, xmax, data)`` newest
+    first; the catalog's newest DDL timestamp, the commit log and the
+    frontier."""
     tables = []
     for name in sorted(store.catalog.tables()):
         heap = store.table(name)
@@ -79,12 +78,19 @@ def store_state(dn) -> tuple:
             for key in sorted(heap.keys())]))
     clog = [(txid, store.clog.status(txid).name, store.clog.commit_ts(txid))
             for txid in sorted(store.clog._records)]
+    return tables, store.catalog.max_ddl_ts, clog, store.max_commit_ts
+
+
+def store_state(dn) -> tuple:
+    """A data node's :func:`store_fields`, with its name and role and the
+    applied LSN (replica) or the WAL bounds (primary)."""
+    store = dn.engine
+    tables, max_ddl_ts, clog, frontier = store_fields(store)
     if dn.is_primary:
         position = ("wal", store.wal.start_lsn, store.wal.last_lsn)
     else:
         position = ("applied", store.applied_lsn)
-    return (dn.name, dn.role, tables, store.catalog.max_ddl_ts, clog,
-            store.max_commit_ts, position)
+    return (dn.name, dn.role, tables, max_ddl_ts, clog, frontier, position)
 
 
 def test_failover_outcome_matches_recording():
