@@ -260,6 +260,7 @@ class GlobalDB:
             "replica_reads": sum(cn.ror_reads for cn in self.cns),
             "primary_reads": sum(cn.primary_fallback_reads for cn in self.cns),
             "gtm_requests": self.gtm.begin_requests + self.gtm.commit_requests,
+            "rpc_timeouts": self.network.rpc_timeouts,
             "rcp": rcp,
             "rcp_lag_ns": rcp_lag_ns,
             "wal_bytes": sum(primary.engine.wal.bytes_written

@@ -27,6 +27,7 @@ from repro.errors import NetworkError, TransactionAborted, WriteConflict
 from repro.replication.quorum import AckTracker, ReplicationPolicy
 from repro.replication.replayer import Replayer
 from repro.replication.replica import ReplicaStore
+from repro.ror.control import HEARTBEAT_INTERVAL_NS
 from repro.sim.network import Message, Request
 from repro.sim.resources import Semaphore
 from repro.sim.units import us
@@ -89,9 +90,9 @@ class DataNode(ClusterNode):
         return self.role == "primary"
 
     def _spawn(self, generator, kind: str) -> None:
-        """Serve one request's handler generator. Every caller is a
-        ``_handle_*`` method run by ``Network._deliver`` and spawns last,
-        which is :meth:`Environment.serve`'s precondition."""
+        """Serve one request's or notice's handler generator. Every caller
+        runs from ``Network._deliver`` and spawns last, which is
+        :meth:`Environment.serve`'s precondition."""
         if self.env.metrics_on or self.env.trace_on:
             generator = self._observed(generator, kind)
         self.env.serve(generator)
@@ -181,7 +182,7 @@ class DataNode(ClusterNode):
         self._catchup_inflight = False
 
     # ------------------------------------------------------------------
-    # One-way notices: redo batches and acks
+    # One-way notices: redo batches, acks and heartbeat requests
     # ------------------------------------------------------------------
     #: Truncate the WAL prefix once this many records are applied
     #: everywhere (amortizes the list surgery instead of truncating on
@@ -198,6 +199,9 @@ class DataNode(ClusterNode):
             self.acks.record(replica, lsn, applied_lsn)
             self._maybe_truncate_wal()
             self.acks.release()
+        elif (kind == "heartbeat" and self.is_primary and self.env.now
+              - self.engine.frontier_moved_at >= HEARTBEAT_INTERVAL_NS):
+            self._spawn(self._heartbeat(), "heartbeat")
 
     def _maybe_truncate_wal(self) -> None:
         """Drop the WAL prefix every replica has already applied.
@@ -535,26 +539,24 @@ class DataNode(ClusterNode):
     # ------------------------------------------------------------------
     # Heartbeats and DDL (primary)
     # ------------------------------------------------------------------
-    def _handle_heartbeat(self, request: Request) -> None:
-        def run():
-            if self.mode is TxnMode.GCLOCK:
-                # Safe without commit-wait: a clock lower bound can never
-                # exceed a later commit's (waited-out) timestamp.
-                earliest, _latest = self.gclock.bounds()
-                ts = max(self.engine.max_commit_ts, earliest)
-            else:
-                # Best-effort: a GTM outage must not kill the heartbeat
-                # path (or the node). Without a counter the frontier just
-                # doesn't advance past the last commit this round.
-                try:
-                    counter = yield self.network.request(
-                        self.name, self.provider.gtm_name, ("begin",))
-                except NetworkError:
-                    counter = 0
-                ts = max(self.engine.max_commit_ts, counter)
-            self.engine.heartbeat(ts)
-            request.reply(("ok", ts))
-        self._spawn(run(), "heartbeat")
+    def _heartbeat(self):
+        """Generator: log a heartbeat record so idle replicas, and the RCP
+        with them, keep advancing (§IV-A). A notice starts it only on a
+        quiet primary: a busy one's commits move its replicas already."""
+        if self.mode is TxnMode.GCLOCK:
+            # Safe without commit-wait: a clock lower bound can never
+            # exceed a later commit's (waited-out) timestamp.
+            ts, _latest = self.gclock.bounds()
+        else:
+            # Best-effort: a GTM outage must not kill the heartbeat
+            # path (or the node). Without a counter the frontier just
+            # doesn't advance past the last commit this round.
+            try:
+                ts = yield self.network.request(
+                    self.name, self.provider.gtm_name, ("begin",))
+            except NetworkError:
+                ts = 0
+        self.engine.heartbeat(max(self.engine.max_commit_ts, ts))
 
     def _handle_ddl(self, request: Request) -> None:
         def run():

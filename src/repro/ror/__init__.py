@@ -12,8 +12,8 @@ Four pieces:
   over (staleness, latency/load) from which the router picks the fastest
   node satisfying a query's freshness bound, excluding failed nodes.
 - :mod:`repro.ror.control` — one CN's control plane: the loops that feed
-  the three above (status probes, RCP collection, heartbeats), collector
-  takeover, and the replica choice for each read.
+  the three above (status probes, RCP collection with heartbeat notices),
+  collector takeover, and the replica choice for each read.
 """
 
 from repro.ror.rcp import RcpState, compute_rcp

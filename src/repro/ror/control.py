@@ -2,14 +2,14 @@
 
 Everything a CN keeps only so that reads can go to replicas: the skyline
 metric table and its route cache, the staleness estimator, the RCP
-collector role, the replica choice for each read, and three loops —
+collector role, the replica choice for each read, and two loops —
 
 - **metrics refresh** — polls every data node's status to feed the skyline;
 - **RCP collection** — when this CN holds the collector role for its
   region, polls replica frontiers, computes the RCP, and distributes it;
-  every CN watches the collector and takes over if updates stop (§IV-A);
-- **heartbeats** — the collector CN periodically asks primaries to log
-  heartbeat records so idle replicas keep advancing.
+  every CN watches the collector and takes over if updates stop (§IV-A).
+  Each round opens with a one-way ``heartbeat`` notice to every primary,
+  which a quiet one answers by logging a heartbeat record.
 
 The builder attaches one as ``cn.ror`` only on a cluster with ROR, so a
 baseline cluster sends no ``status`` / ``max_commit_ts`` / ``heartbeat``
@@ -35,13 +35,14 @@ if typing.TYPE_CHECKING:
 
 #: Status probe period; a probe gives up after ten.
 METRICS_INTERVAL_NS = ms(25)
-#: Collector poll period, and how often other CNs check for a takeover.
+#: Pause after a collector round, which waits for the slowest replica (about
+#: 92 ms on Three-City); also how often other CNs check for a takeover.
 RCP_POLL_INTERVAL_NS = ms(5)
 #: A replica that misses this is skipped for the round.
 RCP_PROBE_TIMEOUT_NS = ms(500)
 #: RCP updates this old make the first live CN of the region collector.
 COLLECTOR_TIMEOUT_NS = ms(100)
-#: Collector heartbeat period; a heartbeat gives up after four.
+#: Quiet interval: a notified primary whose frontier is this still heartbeats.
 HEARTBEAT_INTERVAL_NS = ms(5)
 #: Replicas whose last-known frontier trails the RCP by more than this are
 #: not routed to (a known laggard would park readers in its safe-time
@@ -68,10 +69,9 @@ class ControlPlane:
         self.last_rcp = 0
         self.env.process(self._metrics_loop(), name=f"{self.name}:metrics")
         self.env.process(self._rcp_loop(), name=f"{self.name}:rcp")
-        self.env.process(self._heartbeat_loop(), name=f"{self.name}:heartbeat")
 
     # ------------------------------------------------------------------
-    # Loops: metrics refresh, RCP collection and takeover, heartbeats
+    # Loops: metrics refresh, RCP collection and takeover
     # ------------------------------------------------------------------
     def _metrics_loop(self):
         while True:
@@ -163,10 +163,13 @@ class ControlPlane:
             yield self.env.timeout(RCP_POLL_INTERVAL_NS)
 
     def _poll(self):
-        """Generator: one collector round: the RCP over every replica that
-        answers (a down one must not freeze it), pushed to the region's
-        other CNs."""
+        """Generator: one collector round: heartbeat notices to every
+        primary, then the RCP over every replica that answers (a down one
+        must not freeze it), pushed to the region's other CNs."""
         started = self.env.now
+        for primary in self.cn.all_primaries:
+            self.network.send(self.name, primary, ("heartbeat",),
+                              size_bytes=64)
         requests = {
             name: self.network.request(
                 self.name, name, ("max_commit_ts",),
@@ -232,17 +235,6 @@ class ControlPlane:
             peer = self.network.endpoint(name)
             if peer.up:
                 return  # an earlier CN is alive; it should take over
-
-    def _heartbeat_loop(self):
-        while True:
-            if not self.cn.failed and self.is_collector:
-                requests = [
-                    self.network.request(self.name, primary, ("heartbeat",),
-                                         timeout_ns=HEARTBEAT_INTERVAL_NS * 4)
-                    for primary in self.cn.all_primaries
-                ]
-                yield settle(self.env, requests)
-            yield self.env.timeout(HEARTBEAT_INTERVAL_NS)
 
     # ------------------------------------------------------------------
     # Routing

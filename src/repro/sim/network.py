@@ -154,6 +154,7 @@ class Network:
         self.default_latency_ns = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
+        self.rpc_timeouts = 0  # deadlines that came due before the reply
 
     # ------------------------------------------------------------------
     # Topology management
@@ -335,6 +336,7 @@ class Network:
     def _expire(self, reply_event: "_Reply") -> None:
         reply_event.deadline = None  # the entry refers back: break the cycle
         if not reply_event.triggered:
+            self.rpc_timeouts += 1
             reply_event.fail(NetworkError(f"RPC to {reply_event.dst} timed out"))
 
 

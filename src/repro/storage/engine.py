@@ -84,6 +84,8 @@ class StorageEngine:
         #: heartbeated here. A primary's single-shard reads snapshot at it;
         #: a replica's is what the RCP collector polls (§IV-A).
         self.max_commit_ts = 0
+        #: Sim time the frontier last moved (a quiet primary heartbeats).
+        self.frontier_moved_at = 0
         self.applied_lsn = 0
         self.records_applied = 0
 
@@ -213,6 +215,7 @@ class StorageEngine:
     def _note_commit_ts(self, commit_ts: int) -> None:
         if commit_ts > self.max_commit_ts:
             self.max_commit_ts = commit_ts
+            self.frontier_moved_at = self.env.now
 
     #: How replay and bulk load move the frontier. A replica store built as
     #: one (:class:`~repro.replication.replica.ReplicaStore`) also publishes

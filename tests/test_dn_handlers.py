@@ -1,8 +1,13 @@
-"""Tests driving data-node RPC handlers directly (batches, status,
-heartbeats, conflicts, unknown requests) and GTM server details."""
+"""Tests driving data-node RPC and notice handlers directly (batches,
+status, heartbeat notices, conflicts, unknown requests) and GTM server
+details."""
+
+import pytest
 
 from repro import ClusterConfig, TxnMode, build_cluster, one_region
 from repro.errors import WriteConflict
+from repro.ror.control import HEARTBEAT_INTERVAL_NS
+from repro.storage.redo import RedoHeartbeat
 from repro.sim.units import ms, us
 
 
@@ -94,23 +99,98 @@ class TestStatusSurface:
         assert "unknown request" in message
 
 
-class TestHeartbeatRpc:
+def quiet_db(mode: str):
+    """A One-Region cluster with no control plane, so the only heartbeat
+    notices are the test's own; one committed row, then 0.3 s idle."""
+    if mode == "gtm":
+        config = ClusterConfig.baseline(one_region())
+    else:
+        config = ClusterConfig.globaldb(one_region(), ror_enabled=False)
+    db = build_cluster(config)
+    session = db.session()
+    session.create_table("t", [("k", "int")], primary_key=["k"])
+    session.begin()
+    session.insert("t", {"k": 1})
+    session.commit()
+    db.run_for(0.3)
+    return db, session
+
+
+def notify(db, node):
+    """Send ``node`` a heartbeat notice and let it land (and a GTM begin it
+    makes come back)."""
+    db.network.send(db.cns[0].name, node.name, ("heartbeat",))
+    db.run_for(0.001)
+
+
+def heartbeats(node) -> list:
+    wal = node.engine.wal
+    return [record for record in wal.records_from(wal.start_lsn - 1)
+            if isinstance(record, RedoHeartbeat)]
+
+
+class TestHeartbeatNotice:
     def test_gclock_heartbeat_uses_clock_lower_bound(self):
-        db, _session = make_db()
+        db, _session = quiet_db("gclock")
         primary = db.primaries[0]
         before = primary.engine.max_commit_ts
-        _ok, ts = rpc(db, db.cns[0], primary.name, ("heartbeat",))
-        assert ts >= before
-        earliest, latest = primary.gclock.bounds()
-        assert ts <= latest  # never beyond the clock's upper bound
+        notify(db, primary)
+        [record] = heartbeats(primary)
+        assert record.commit_ts >= before
+        _earliest, latest = primary.gclock.bounds()
+        assert record.commit_ts <= latest  # never beyond the upper bound
+        assert primary.engine.max_commit_ts == record.commit_ts
 
     def test_gtm_heartbeat_contacts_server(self):
-        db = build_cluster(ClusterConfig.baseline(one_region()))
-        session = db.session()
-        session.create_table("t", [("k", "int")], primary_key=["k"])
+        db, _session = quiet_db("gtm")
+        primary = db.primaries[0]
         begins_before = db.gtm.begin_requests
-        rpc(db, db.cns[0], db.primaries[0].name, ("heartbeat",))
+        notify(db, primary)
         assert db.gtm.begin_requests == begins_before + 1
+        assert len(heartbeats(primary)) == 1
+
+    @pytest.mark.parametrize("mode", ["gclock", "gtm"])
+    def test_busy_primary_logs_no_heartbeat(self, mode):
+        db, session = quiet_db(mode)
+        primary = db.primaries[db.shard_map.shard_for_key("t", (1,))]
+        session.begin()
+        session.update("t", (1,), {"k": 1})
+        session.commit()
+        assert (db.env.now - primary.engine.frontier_moved_at
+                < HEARTBEAT_INTERVAL_NS)
+        begins_before = db.gtm.begin_requests
+        last_lsn = primary.engine.wal.last_lsn
+        notify(db, primary)
+        assert primary.engine.wal.last_lsn == last_lsn
+        assert db.gtm.begin_requests == begins_before
+
+    @pytest.mark.parametrize("mode", ["gclock", "gtm"])
+    def test_notices_within_one_interval_log_one_record(self, mode):
+        db, _session = quiet_db(mode)
+        primary = db.primaries[0]
+        begins_before = db.gtm.begin_requests
+        for _ in range(3):  # 1 ms apart: the first record moved the frontier
+            notify(db, primary)
+        assert len(heartbeats(primary)) == 1
+        assert db.gtm.begin_requests - begins_before == (mode == "gtm")
+        db.run_for(HEARTBEAT_INTERVAL_NS / 1e9)
+        notify(db, primary)  # a whole quiet interval later: one more
+        assert len(heartbeats(primary)) == 2
+
+    def test_replica_or_down_primary_logs_nothing(self):
+        db, _session = quiet_db("gclock")
+        replica = db.replicas[0][0]
+        frontier = replica.engine.max_commit_ts
+        notify(db, replica)
+        assert replica.engine.wal.last_lsn == 0
+        assert replica.engine.max_commit_ts == frontier
+        primary = db.primaries[0]
+        last_lsn = primary.engine.wal.last_lsn
+        primary.fail()
+        notify(db, primary)
+        primary.recover()
+        assert primary.engine.wal.last_lsn == last_lsn
+        assert heartbeats(primary) == []
 
 
 class TestWriteConflictSurface:

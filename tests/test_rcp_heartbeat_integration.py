@@ -1,7 +1,9 @@
 """Integration tests for RCP freshness machinery: heartbeats, collectors,
 DDL fencing, and the replica safe-time wait."""
 
-from repro import ClusterConfig, build_cluster, one_region
+import pytest
+
+from repro import ClusterConfig, build_cluster, one_region, three_city
 from repro.sim.units import ms
 
 
@@ -51,6 +53,29 @@ class TestHeartbeats:
         db.run_for(0.5)
         collectors = [cn for cn in db.cns if cn.ror.is_collector]
         assert len(collectors) == len(db.config.topology.regions)
+
+
+#: Mean idle RCP staleness (ms) before heartbeats became per-round notices
+#: logged only by a quiet primary: 7.7966 One-Region, 234.2039 Three-City.
+#: The bound is that +5%, so a control-plane change that saves messages by
+#: letting the RCP fall further behind fails here.
+STALENESS_BOUND_MS = {"one_region": 7.7966 * 1.05,
+                      "three_city": 234.2039 * 1.05}
+
+
+@pytest.mark.parametrize("topology", [one_region, three_city],
+                         ids=["one_region", "three_city"])
+def test_idle_rcp_staleness_stays_bounded(topology):
+    """``now - min(rcp)`` over every CN, sampled each 1 ms for 1 s after a
+    0.5 s start on an idle cluster."""
+    db = build_cluster(ClusterConfig.globaldb(topology()))
+    db.run_for(0.5)
+    samples = []
+    for _ in range(1000):
+        db.run_for(0.001)
+        samples.append(db.env.now - min(cn.rcp_state.rcp for cn in db.cns))
+    mean_ms = sum(samples) / len(samples) / 1e6
+    assert mean_ms <= STALENESS_BOUND_MS[topology.__name__]
 
 
 class TestRcpProperties:

@@ -3,7 +3,7 @@ on clusters with ROR; a cluster without it stays fully usable."""
 
 import pytest
 
-from repro import ClusterConfig, build_cluster, three_city
+from repro import ClusterConfig, build_cluster, one_region, three_city
 from repro.obs.report import messages_by_kind
 from repro.sim.units import ms
 from repro.workloads import TpccConfig, TpccWorkload, run_workload
@@ -57,16 +57,18 @@ class TestIdleTraffic:
 
     def test_idle_ror_cluster_sends_what_it_always_sent(self):
         """Guards the other direction: with ROR the idle second carries
-        exactly the control-plane traffic it did before the loops became
-        conditional (counts recorded on the parent commit)."""
+        exactly the recorded control-plane traffic. Re-recorded when
+        heartbeats became one-way notices at the start of each RCP round,
+        logged only by a quiet primary (before: 3192 replies, 1096 redo
+        batches, 1058 acks, 738 heartbeat RPCs, 704 WAL records)."""
         db = build_cluster(ClusterConfig.globaldb(three_city(),
                                                   trace_enabled=True))
         db.run_for(1.0)
         kinds, _commits = messages_by_kind(db.env.tracer.spans)
-        assert kinds == {"rpc_reply": 3192, "status": 2214,
-                         "redo_batch": 1096, "redo_ack": 1058,
-                         "heartbeat": 738, "max_commit_ts": 384}
-        assert wal_records(db) == 704
+        assert kinds == {"rpc_reply": 2488, "status": 2214,
+                         "redo_batch": 332, "redo_ack": 320,
+                         "heartbeat": 192, "max_commit_ts": 384}
+        assert wal_records(db) == 166
 
     def test_gtm_mode_with_ror_still_heartbeats_through_the_gtm(self):
         """A GlobalDB cluster that fell back to GTM (or a baseline built
@@ -76,7 +78,23 @@ class TestIdleTraffic:
         db.run_for(1.0)
         kinds, _commits = messages_by_kind(db.env.tracer.spans)
         assert all(kinds[kind] > 0 for kind in CONTROL_PLANE_KINDS)
-        assert db.stats()["gtm_requests"] == 692
+        # 692 when every heartbeat RPC made a GTM begin.
+        assert db.stats()["gtm_requests"] == 178
+
+
+@pytest.mark.parametrize("topology", [one_region, three_city],
+                         ids=["one_region", "three_city"])
+def test_fault_free_ror_run_has_no_rpc_timeouts(topology):
+    """No deadline expires unless something failed: a timeout in a
+    fault-free run is a deadline shorter than the round trip it guards,
+    and counts would not tell it from a real failure."""
+    db = build_cluster(ClusterConfig.globaldb(topology()))
+    db.run_for(0.5)  # idle: the control plane alone
+    assert db.stats()["rpc_timeouts"] == 0
+    result = run_workload(db, TpccWorkload(TpccConfig(warehouses=2)),
+                          terminals=6, duration_s=0.5)
+    assert result.stats.committed > 0
+    assert db.stats()["rpc_timeouts"] == 0
 
 
 class TestReadsWithoutRor:
