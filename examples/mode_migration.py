@@ -14,6 +14,9 @@ from repro import ClusterConfig, TransactionAborted, build_cluster, three_city
 from repro.sim.units import SECOND, ms
 
 WINDOW_NS = ms(100)
+#: The error bound past which this operator stops trusting the clock for
+#: GClock transactions (every commit waits out the bound, Eq. 1).
+MAX_TRUSTED_ERROR_NS = ms(1)
 
 
 def main() -> None:
@@ -68,8 +71,10 @@ def main() -> None:
         # The error bound grows with unsynced drift; after a few seconds
         # the clock is no longer trustworthy for GClock transactions.
         yield env.timeout(round(4.8 * SECOND))
-        events.append((env.now, f"xian clock healthy? "
-                                f"{db.cns[0].gclock.healthy} -> fall back to GTM"))
+        error_ns = db.cns[0].gclock.sync.error_bound_ns()
+        events.append((env.now, f"xian clock error bound {error_ns / 1e6:.2f} ms "
+                                f"(trusted up to {MAX_TRUSTED_ERROR_NS / 1e6:.0f} ms)"
+                                f" -> fall back to GTM"))
         report = yield from db.migration.to_gtm()
         events.append((env.now, f"now in GTM mode "
                                 f"(transition took {report.duration_ns / 1e6:.0f} ms, "

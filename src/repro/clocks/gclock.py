@@ -51,11 +51,6 @@ class GClockSource:
         reading = self.read()
         return reading - err, reading + err
 
-    @property
-    def healthy(self) -> bool:
-        """Whether the clock can be trusted for GClock transactions."""
-        return self.sync.healthy
-
     def wait_until_after(self, ts: int):
         """Generator: suspend until true time has provably passed ``ts``.
 

@@ -21,9 +21,9 @@ Two execution modes:
   a faithful stand-in.
 
 If the time device fails, syncs stop succeeding and the error bound grows
-linearly with drift; once it exceeds ``unhealthy_error_ns`` the daemon
-reports itself unhealthy, which is the trigger for a GClock-to-GTM fallback
-(§III-A, Fig. 3).
+linearly with drift. How large a bound is too large, the trigger for a
+GClock-to-GTM fallback (§III-A, Fig. 3), is the operator's call: the
+daemon reports the bound, not a verdict.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class ClockSyncConfig:
     period_ns: int = ms(1)
     rtt_ns: int = us(60)
     analytic: bool = True
-    unhealthy_error_ns: int = ms(1)
 
 
 class ClockSyncDaemon:
@@ -132,9 +131,3 @@ class ClockSyncDaemon:
         age = self.env.now - self.last_sync_true_time
         t_drift = round(age * self.clock.max_drift_ppm * 1e-6)
         return t_sync + t_drift
-
-    @property
-    def healthy(self) -> bool:
-        """False once the error bound exceeds the configured threshold
-        (e.g. after a time-device failure)."""
-        return self.error_bound_ns() <= self.config.unhealthy_error_ns

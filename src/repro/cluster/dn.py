@@ -32,6 +32,7 @@ from repro.sim.network import Message, Request
 from repro.sim.resources import Semaphore
 from repro.sim.units import us
 from repro.storage.engine import StorageEngine
+from repro.storage.redo import row_changes_only
 from repro.storage.snapshot import Snapshot
 from repro.txn.modes import TxnMode
 from repro.cluster.node import ClusterNode
@@ -176,7 +177,7 @@ class DataNode(ClusterNode):
         store = ReplicaStore(self.env, self.name)
         source.engine.copy_into(store)
         self.engine = self.replayer.store = store
-        self.replayer._queue.clear()
+        self.replayer.clear()
         self._enqueued_lsn = store.applied_lsn
         self._redo_buffer.clear()
         self._catchup_inflight = False
@@ -265,9 +266,14 @@ class DataNode(ClusterNode):
             return
         batches.append(fresh)
         self._enqueued_lsn = fresh[-1].lsn
-        # Ack persistence of the contiguous prefix (quorum is on receipt);
-        # piggyback the applied watermark so the primary can truncate the
-        # fully-replayed WAL prefix at no extra message cost.
+        # Ack persistence of the contiguous prefix (quorum is on receipt),
+        # but only for a batch someone waits on: a commit waits on its
+        # outcome record's LSN, so a batch of row changes only goes
+        # unacked, and the next ack covers it. Piggyback the applied
+        # watermark so the primary can truncate the fully-replayed WAL
+        # prefix at no extra message cost.
+        if row_changes_only(fresh):
+            return
         self.network.send(self.name, src,
                           ("redo_ack", self.name, self._enqueued_lsn,
                            self.engine.applied_lsn),
@@ -512,8 +518,14 @@ class DataNode(ClusterNode):
             yield from self._work(COMMIT_NS)
             policy = self._commit_policy(txid)
             lsn = self.engine.commit_prepared(txid, ts)
-            yield from self._flush_wait(txid, lsn, policy)
-            self.commits += 1
+            if lsn is None:
+                # A repeat: everything logged so far covers the first
+                # one's record, so it never answers before the first could.
+                yield from self._flush_wait(txid, self.engine.wal.last_lsn,
+                                            policy)
+            else:
+                yield from self._flush_wait(txid, lsn, policy)
+                self.commits += 1
             request.reply(("ok", ts))
         self._spawn(run(), "commit_prepared")
 
@@ -531,8 +543,8 @@ class DataNode(ClusterNode):
         def run():
             _kind, txid = request.body
             yield from self._work(COMMIT_NS)
-            self.engine.abort_prepared(txid)
-            self.aborts += 1
+            if self.engine.abort_prepared(txid) is not None:
+                self.aborts += 1
             request.reply(("ok",))
         self._spawn(run(), "abort_prepared")
 

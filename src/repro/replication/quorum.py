@@ -12,6 +12,14 @@ GlobalDB's headline configuration is fully asynchronous. Policies:
 - ``remote_quorum(k)`` — wait for ``k`` acks including at least one from a
   different region (survives a regional disaster; the slow baseline in
   Fig. 6a).
+
+A replica acks a batch on receipt, with the highest LSN of its contiguous
+prefix and its applied LSN. It acks only batches someone waits on: a
+batch of row changes only goes unacked, because a commit waits on its
+outcome record's LSN, never on a row change's. The prefix rule makes that
+enough: an ack for LSN ``n`` covers every record up to ``n``, so the batch
+holding a commit record acks all the row changes before it, and a
+heartbeat or DDL batch does the same for an idle shard's WAL truncation.
 """
 
 from __future__ import annotations

@@ -45,7 +45,9 @@ free or re-entrant row lock (``LockTable.acquire``) and a fan-out whose
 last reply has just landed (``settle``); and two hand-offs that end the
 entry making them: a redo batch handed to an idle replayer
 (``Replayer.enqueue``) and an ack that satisfies one sync commit
-(``AckTracker.release``). :meth:`Environment.serve`
+(``AckTracker.release``). :meth:`Environment.tick_drained` is the test
+``resolve`` makes; the replayer also asks it before it applies a batch of
+row changes only on arrival. :meth:`Environment.serve`
 applies it to a handler's kickoff, and drops the completion nobody joins.
 :meth:`Environment.defer` makes the pushes that remain cheaper: it queues
 a bare ``fn(arg)`` with no :class:`Event`. Nothing is recycled, so no
@@ -349,6 +351,7 @@ class Environment:
         """
         if (self._cursor_urgent < len(self._lane_urgent)
                 or self._cursor_normal < len(self._lane_normal)):
+            # ``not tick_drained()``, inlined: every reply passes here.
             (event.succeed if ok else event.fail)(value)
             return
         if event._ok is not None:
@@ -363,6 +366,14 @@ class Environment:
             callback(event)
         if not ok and not event.defused:
             raise value
+
+    def tick_drained(self) -> bool:
+        """True when nothing is queued behind the running entry for the
+        current tick, so a push made now would be the next entry
+        :meth:`run` pops: the test :meth:`resolve` makes before it
+        dispatches in place."""
+        return (self._cursor_urgent >= len(self._lane_urgent)
+                and self._cursor_normal >= len(self._lane_normal))
 
     # ------------------------------------------------------------------
     # Scheduling and execution

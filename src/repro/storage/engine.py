@@ -196,16 +196,35 @@ class StorageEngine:
         self._unresolved.setdefault(txid, None)
         return self.wal.append(RedoPrepare(txid=txid))
 
-    def commit_prepared(self, txid: int, commit_ts: int) -> int:
-        if self.clog.status(txid) is not TxnStatus.PREPARED:
-            raise TransactionError(f"transaction {txid} is not prepared")
+    def commit_prepared(self, txid: int, commit_ts: int) -> int | None:
+        """2PC phase two: commit and log. Returns the record's LSN, or None
+        for a repeat on a transaction already committed at ``commit_ts``,
+        which logs nothing (:meth:`_phase_two_done`)."""
+        if self._phase_two_done(txid, TxnStatus.COMMITTED, commit_ts):
+            return None
         return self._commit(txid, commit_ts,
                             RedoCommitPrepared(txid=txid, commit_ts=commit_ts))
 
-    def abort_prepared(self, txid: int) -> int:
-        if self.clog.status(txid) is not TxnStatus.PREPARED:
-            raise TransactionError(f"transaction {txid} is not prepared")
+    def abort_prepared(self, txid: int) -> int | None:
+        """2PC phase two: roll back and log. Returns the record's LSN, or
+        None for a repeat on an aborted transaction, which logs nothing."""
+        if self._phase_two_done(txid, TxnStatus.ABORTED, None):
+            return None
         return self._abort(txid, RedoAbortPrepared(txid=txid))
+
+    def _phase_two_done(self, txid: int, outcome: TxnStatus,
+                        commit_ts: int | None) -> bool:
+        """Whether the commit log already holds ``outcome`` (at
+        ``commit_ts``) for ``txid``: a repeated phase two, answered from
+        the clog so a coordinator may retry. Raises
+        :class:`TransactionError` if ``txid`` is neither that nor
+        prepared: the other outcome, or another timestamp."""
+        status = self.clog.status(txid)
+        if status is outcome and self.clog.commit_ts(txid) == commit_ts:
+            return True
+        if status is not TxnStatus.PREPARED:
+            raise TransactionError(f"transaction {txid} is not prepared")
+        return False
 
     def heartbeat(self, commit_ts: int) -> int:
         """Log a heartbeat so idle replicas keep advancing (§IV-A)."""

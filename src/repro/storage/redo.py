@@ -148,3 +148,18 @@ class RedoHeartbeat(RedoRecord):
 
 #: Records that resolve a transaction's outcome on the replica.
 OUTCOME_RECORDS = (RedoCommit, RedoAbort, RedoCommitPrepared, RedoAbortPrepared)
+
+#: Row changes of a transaction that has not entered its commit window. No
+#: commit waits on their LSNs (it waits on its outcome record's) and no
+#: snapshot can see them, so a batch of nothing else is neither acked nor
+#: timed on a replica (:func:`row_changes_only`).
+ROW_CHANGES = (RedoInsert, RedoUpdate, RedoDelete)
+
+
+def row_changes_only(records: typing.Sequence[RedoRecord]) -> bool:
+    """Whether every record is a :data:`ROW_CHANGES` record. Walks from the
+    end: a batch that is not all row changes usually ends in an outcome."""
+    for record in reversed(records):
+        if not isinstance(record, ROW_CHANGES):
+            return False
+    return True

@@ -104,17 +104,16 @@ class TestSyncDaemon:
         assert grown > baseline
         # 200 PPM over 10 s is 2 ms of drift allowance.
         assert grown >= ms(2)
-        assert not sync.healthy
 
     def test_recovery_restores_health(self):
         env = Environment()
         source, _clock, device, sync = make_gclock(env)
         device.fail()
         env.run(until=seconds(30))
-        assert not sync.healthy
+        assert sync.error_bound_ns() >= ms(6)  # 30 s unsynced at 200 PPM
         device.recover()
         env.run(until=env.now + ms(5))
-        assert sync.healthy
+        assert sync.error_bound_ns() <= us(61)
 
 
 class TestGClockSource:
@@ -164,10 +163,10 @@ class TestGClockSource:
         stamp = env.run(until=env.process(proc()))
         assert env.now > stamp.ts - stamp.err
 
-    def test_healthy_tracks_sync(self):
+    def test_timestamp_error_tracks_sync(self):
         env = Environment()
         source, _clock, device, _sync = make_gclock(env)
-        assert source.healthy
+        assert source.timestamp().err <= us(61)
         device.fail()
         env.run(until=seconds(30))
-        assert not source.healthy
+        assert source.timestamp().err >= ms(6)

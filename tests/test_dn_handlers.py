@@ -4,7 +4,7 @@ details."""
 
 import pytest
 
-from repro import ClusterConfig, TxnMode, build_cluster, one_region
+from repro import ClusterConfig, TxnMode, build_cluster, one_region, three_city
 from repro.errors import WriteConflict
 from repro.ror.control import HEARTBEAT_INTERVAL_NS
 from repro.storage.redo import RedoHeartbeat
@@ -304,6 +304,70 @@ class TestRequestEventCost:
         env.run(until=env.process(driver()))
         assert scheduled == [3, 3 + 2 + 1]
         assert replies[0] == replies[1] and behind == [env.now]
+
+
+def prepared_on_shard_0(config):
+    """``config``'s cluster with one table and a transaction that inserted
+    a row and prepared on shard 0's primary through its RPCs: returns
+    (db, cn, primary, txid)."""
+    db = build_cluster(config)
+    session = db.session()
+    session.create_table("t", [("k", "int"), ("v", "int")],
+                         primary_key=["k"])
+    db.run_for(0.3)
+    key = next(k for k in range(100)
+               if db.shard_map.shard_for_key("t", (k,)) == 0)
+    cn, primary, txid = db.cns[0], db.primaries[0], 999_999
+    assert rpc(db, cn, primary.name,
+               ("insert", txid, "t", {"k": key, "v": 1}))[0] == "ok"
+    assert rpc(db, cn, primary.name, ("prepare", txid)) == ("ok",)
+    return db, cn, primary, txid
+
+
+class TestRepeatedPhaseTwo:
+    """A coordinator may resend phase 2: the repeat answers ``ok`` from the
+    commit log and logs nothing."""
+
+    def test_repeated_commit_prepared_answers_ok(self):
+        db, cn, primary, txid = prepared_on_shard_0(
+            ClusterConfig.globaldb(one_region()))
+        ts = primary.engine.max_commit_ts + 1_000
+        body = ("commit_prepared", txid, ts)
+        assert rpc(db, cn, primary.name, body) == ("ok", ts)
+        lsn, commits = primary.engine.wal.last_lsn, primary.commits
+        assert rpc(db, cn, primary.name, body) == ("ok", ts)
+        assert primary.engine.wal.last_lsn == lsn
+        assert primary.commits == commits
+
+    def test_repeated_abort_prepared_answers_ok(self):
+        db, cn, primary, txid = prepared_on_shard_0(
+            ClusterConfig.globaldb(one_region()))
+        assert rpc(db, cn, primary.name, ("abort_prepared", txid)) == ("ok",)
+        lsn, aborts = primary.engine.wal.last_lsn, primary.aborts
+        assert rpc(db, cn, primary.name, ("abort_prepared", txid)) == ("ok",)
+        assert primary.engine.wal.last_lsn == lsn
+        assert primary.aborts == aborts
+
+    def test_a_sync_repeat_answers_no_earlier_than_the_first(self):
+        """Under a remote quorum the repeat waits for the acks of the WAL's
+        last LSN, which covers the first one's commit record."""
+        db, cn, primary, txid = prepared_on_shard_0(
+            ClusterConfig.baseline(three_city()))
+        ts = primary.engine.max_commit_ts + 1_000
+        sent_at = db.env.now
+        answered = {}
+        for name in ("first", "repeat"):
+            request = db.network.request(cn.name, primary.name,
+                                         ("commit_prepared", txid, ts))
+            request.add_callback(lambda event, name=name: answered.setdefault(
+                name, (db.env.now, event.value)))
+        db.run_for(0.5)
+        (first, first_reply), (repeat, repeat_reply) = (
+            answered["first"], answered["repeat"])
+        assert first_reply == repeat_reply == ("ok", ts)
+        assert sent_at < first <= repeat
+        # The first waited for a remote replica's ack: a WAN round trip.
+        assert first - sent_at > ms(20)
 
 
 class TestGtmServerDetails:

@@ -283,6 +283,31 @@ class TestReplayer:
         assert env.now == round(1000 * us(3) / 8)
 
 
+    def test_a_cleared_queue_leaves_no_head_waited_out(self):
+        # A row-only batch taken on arrival charges 10 us; a heartbeat
+        # queued meanwhile wakes the replayer when its own replay would
+        # end (21 us). A rebuild drops it, so the batch that arrives next
+        # is timed from that wake-up, not taken as already waited out.
+        env = Environment()
+        store = ReplicaStore(env, "r")
+        store.create_table(schema(), log=False)
+        replayer = Replayer(env, store, apply_ns_per_record=us(10),
+                            parallelism=1)
+        rows = RedoInsert(txid=1, table="t", key=(1,),
+                          row={"k": 1, "v": "a"}, lsn=1)
+        dropped = RedoHeartbeat(txid=0, commit_ts=5, lsn=2)
+        kept = RedoHeartbeat(txid=0, commit_ts=7, lsn=3)
+        env.defer(us(1), lambda _: replayer.enqueue([rows]), None)
+        env.defer(us(5), lambda _: replayer.enqueue([dropped]), None)
+        env.defer(us(6), lambda _: replayer.clear(), None)
+        env.defer(us(7), lambda _: replayer.enqueue([kept]), None)
+        env.run(until=us(30))
+        assert store.applied_lsn == 1 and replayer.backlog_batches == 0
+        assert store.max_commit_ts == 0  # started at 21 us, not done
+        env.run(until=us(31))
+        assert store.max_commit_ts == 7
+
+
 class TestQuorum:
     def test_async_policy_never_waits(self):
         env = Environment()
@@ -457,3 +482,117 @@ class TestEndToEndSyncCommit:
         assert primary.acks.acked == {replica.name: lsn
                                       for replica in replicas}
         assert all(replica.replayer.batches_replayed for replica in replicas)
+
+
+def acks_received(primary):
+    """Wrap ``primary``'s notice handler; log each ``redo_ack`` it gets as
+    (replica, acked LSN, applied LSN)."""
+    handle = primary._on_notice
+    log = []
+
+    def watched(payload, message):
+        if payload[0] == "redo_ack":
+            log.append(payload[1:])
+        return handle(payload, message)
+
+    primary._on_notice = watched
+    return log
+
+
+def quiet_shard_with_table(config):
+    """``config``'s cluster with one table and the shard of key 1: its
+    primary, its replicas and the keys it holds."""
+    db = build_cluster(config)
+    session = db.session()
+    session.create_table("t", [("k", "int"), ("v", "int")],
+                         primary_key=["k"])
+    db.run_for(0.3)
+    shard = db.shard_map.shard_for_key("t", (1,))
+    keys = [k for k in range(1, 200)
+            if db.shard_map.shard_for_key("t", (k,)) == shard]
+    return db, session, db.primaries[shard], db.replicas[shard], keys
+
+
+class TestRowChangeBatches:
+    """A batch of row changes only is neither acked nor timed: no commit
+    waits on its LSNs and no reader can see it."""
+
+    def test_a_row_only_batch_sends_no_ack(self):
+        db, _session, primary, replicas, keys = quiet_shard_with_table(
+            ClusterConfig.globaldb(three_city(), ror_enabled=False))
+        acks = acks_received(primary)
+        engine = primary.engine
+        engine.clog.ensure(77)
+        engine.insert(77, "t", {"k": keys[0], "v": 1})
+        engine.insert(77, "t", {"k": keys[1], "v": 2})
+        db.run_for(0.3)
+        assert acks == []
+        lsn = engine.wal.last_lsn
+        for replica in replicas:
+            assert replica._enqueued_lsn == lsn
+            assert replica.engine.applied_lsn == lsn
+
+    def test_the_next_acked_batch_covers_the_row_only_prefix(self):
+        db, _session, primary, replicas, keys = quiet_shard_with_table(
+            ClusterConfig.globaldb(three_city(), ror_enabled=False))
+        acks = acks_received(primary)
+        engine = primary.engine
+        engine.clog.ensure(77)
+        engine.insert(77, "t", {"k": keys[0], "v": 1})
+        db.run_for(0.3)
+        rows_lsn = engine.wal.last_lsn
+        engine.log_pending_commit(77)
+        engine.commit(77, engine.max_commit_ts + 1)
+        db.run_for(0.3)
+        lsn = engine.wal.last_lsn
+        # One ack per replica: the whole prefix received, and the row
+        # changes replayed before the commit batch arrived.
+        assert sorted(name for name, _acked, _applied in acks) == \
+            sorted(replica.name for replica in replicas)
+        assert all(acked == lsn and applied >= rows_lsn
+                   for _name, acked, applied in acks)
+
+    def test_a_lone_row_only_batch_is_applied_on_arrival(self):
+        db, _session, primary, (replica, _other), keys = \
+            quiet_shard_with_table(
+                ClusterConfig.globaldb(three_city(), ror_enabled=False))
+        log = watch_batches(replica)
+        engine = primary.engine
+        engine.clog.ensure(77)
+        engine.insert(77, "t", {"k": keys[0], "v": 1})
+        db.run_for(0.3)
+        # No ack, no replay timer and no wake-up was pushed, so the
+        # delivery itself applied the batch.
+        assert log == [(0, 0)]
+        assert replica.engine.applied_lsn == engine.wal.last_lsn
+
+    def test_a_heartbeat_only_batch_is_acked(self):
+        db, primary, replicas = quiet_three_city()
+        acks = acks_received(primary)
+        primary.engine.heartbeat(12345)
+        db.run_for(0.3)
+        lsn = primary.engine.wal.last_lsn
+        assert sorted(name for name, acked, _applied in acks
+                      if acked == lsn) == sorted(r.name for r in replicas)
+
+    def test_remote_quorum_commit_completes_after_replicas_caught_up(self):
+        db, session, primary, replicas, keys = quiet_shard_with_table(
+            ClusterConfig.baseline(three_city()))
+        acks = acks_received(primary)
+        session.begin()
+        for replica in replicas:
+            replica.fail()
+        session.insert("t", {"k": keys[0], "v": 1})  # lost on the way
+        db.run_for(0.3)
+        for replica in replicas:
+            replica.recover()
+        session.insert("t", {"k": keys[1], "v": 2})  # arrives past a gap
+        session.commit()
+        lsn = primary.engine.wal.last_lsn
+        assert all(replica.catchup_requests >= 1 for replica in replicas)
+        assert any(acked == lsn for _name, acked, _applied in acks)
+        db.run_for(0.3)
+        for replica in replicas:
+            assert replica.engine.applied_lsn == lsn
+            assert replica.engine.read("t", (keys[1],), Snapshot(
+                replica.engine.max_commit_ts)) == {"k": keys[1], "v": 2}

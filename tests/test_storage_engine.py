@@ -265,6 +265,49 @@ class TestTwoPhase:
         with pytest.raises(TransactionError):
             engine.commit_prepared(1, commit_ts=100)
 
+    @staticmethod
+    def prepared(engine):
+        engine.begin(1)
+        engine.insert(1, "accounts", {"id": 1, "balance": 1, "owner": "a"})
+        engine.prepare(1)
+
+    def test_repeated_commit_prepared_logs_nothing(self):
+        env, engine = make_engine()
+        self.prepared(engine)
+        lsn = engine.commit_prepared(1, commit_ts=100)
+        assert lsn == engine.wal.last_lsn
+        assert engine.commit_prepared(1, commit_ts=100) is None
+        assert engine.wal.last_lsn == lsn
+        assert engine.clog.commit_ts(1) == 100
+        assert engine.read("accounts", (1,), Snapshot(100)) is not None
+
+    def test_repeated_abort_prepared_logs_nothing(self):
+        env, engine = make_engine()
+        self.prepared(engine)
+        lsn = engine.abort_prepared(1)
+        assert lsn == engine.wal.last_lsn
+        assert engine.abort_prepared(1) is None
+        assert engine.wal.last_lsn == lsn
+        assert engine.read("accounts", (1,), Snapshot(10**15)) is None
+
+    @pytest.mark.parametrize("first, repeat", [
+        ("commit", "abort"), ("abort", "commit"), ("commit", "other_ts")])
+    def test_a_different_phase_two_still_raises(self, first, repeat):
+        env, engine = make_engine()
+        self.prepared(engine)
+        if first == "commit":
+            engine.commit_prepared(1, commit_ts=100)
+        else:
+            engine.abort_prepared(1)
+        lsn = engine.wal.last_lsn
+        with pytest.raises(TransactionError):
+            if repeat == "abort":
+                engine.abort_prepared(1)
+            else:
+                engine.commit_prepared(
+                    1, commit_ts=101 if repeat == "other_ts" else 100)
+        assert engine.wal.last_lsn == lsn
+
 
 class TestCommitWindowHoldback:
     """A reader touching a transaction in its commit window blocks until
