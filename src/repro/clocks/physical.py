@@ -4,8 +4,8 @@ The clock's reading is ``true_time + offset`` where the offset evolves at a
 drift rate bounded by ``max_drift_ppm`` (the paper bounds CPU clock drift at
 200 PPM). The sync daemon periodically re-anchors the offset to within the
 sync error of zero; between syncs the offset wanders at the current drift
-rate. Drift rate is re-sampled at each anchor so long runs exercise both
-fast and slow clocks.
+rate. Each anchor sets a new drift rate so long runs exercise both fast
+and slow clocks; the constructor's RNG draws only the first one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class PhysicalClock:
                  max_drift_ppm: float = 200.0, initial_offset_ns: int = 0):
         self.env = env
         self.name = name
-        self._rng = rng
         self.max_drift_ppm = max_drift_ppm
         self._anchor_true = env.now
         self._anchor_value = env.now + initial_offset_ns
@@ -48,12 +47,12 @@ class PhysicalClock:
         real node code cannot observe its own offset)."""
         return self.read() - self.env.now
 
-    def anchor(self, value_ns: int, resample_drift: bool = True) -> None:
-        """Re-anchor the clock to ``value_ns`` (called by the sync daemon)."""
-        self._anchor_true = self.env.now
+    def anchor(self, value_ns: int, at_ns: int, drift_ppm: float) -> None:
+        """Re-anchor the clock: it read ``value_ns`` at true time ``at_ns``
+        and runs at ``drift_ppm`` from there (called by the sync daemon)."""
+        self._anchor_true = at_ns
         self._anchor_value = value_ns
-        if resample_drift:
-            self._drift_ppm = self._rng.uniform(-self.max_drift_ppm, self.max_drift_ppm)
+        self._drift_ppm = drift_ppm
 
     def step(self, delta_ns: int) -> None:
         """Shift the clock by ``delta_ns`` (fault injection: a clock jump)."""

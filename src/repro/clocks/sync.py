@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 from repro.clocks.physical import PhysicalClock
 from repro.clocks.time_device import GlobalTimeDevice
-from repro.errors import ClockError
 from repro.sim.core import Environment
 from repro.sim.units import ms, us
 
@@ -102,23 +101,24 @@ class ClockSyncDaemon:
         self._apply_sync(boundary=boundary)
 
     def _apply_sync(self, boundary: int) -> None:
-        """Anchor the clock as of a sync completed at true time ``boundary``."""
+        """Anchor the clock as of a sync completed at true time ``boundary``.
+
+        The anchor's offset and its new drift rate are both derived from
+        the boundary's index, so the clock's reading at any instant
+        depends only on the latest boundary before it, not on how often,
+        or whether, anyone read the clock in between."""
         if self.device.failed:
             self.failed_syncs += 1
             return
-        try:
-            index = boundary // max(1, self.config.period_ns)
-            residual_span = max(1, self.config.rtt_ns // 2 + self.device.accuracy_ns)
-            residual = self._stable_hash("residual", index) % (2 * residual_span) - residual_span
-            synced_value_at_boundary = boundary + residual
-            elapsed = self.env.now - boundary
-            drift_since = round(elapsed * self.clock.drift_ppm * 1e-6)
-            self.clock.anchor(synced_value_at_boundary + elapsed + drift_since)
-            self.last_sync_true_time = boundary
-            self.sync_count += 1
-            self.device.queries += 1
-        except ClockError:
-            self.failed_syncs += 1
+        index = boundary // max(1, self.config.period_ns)
+        residual_span = max(1, self.config.rtt_ns // 2 + self.device.accuracy_ns)
+        residual = self._stable_hash("residual", index) % (2 * residual_span) - residual_span
+        drift_ppm = (self._stable_hash("drift", index) / 2**63 - 1) * self.clock.max_drift_ppm
+        self.clock.anchor(boundary + residual, at_ns=boundary,
+                          drift_ppm=drift_ppm)
+        self.last_sync_true_time = boundary
+        self.sync_count += 1
+        self.device.queries += 1
 
     # ------------------------------------------------------------------
     # Error bound (Eq. 1)

@@ -1,6 +1,7 @@
 """Unit tests for the clock substrate."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clocks import (
     ClockSyncConfig,
@@ -114,6 +115,37 @@ class TestSyncDaemon:
         device.recover()
         env.run(until=env.now + ms(5))
         assert sync.error_bound_ns() <= us(61)
+
+
+class TestReadIndependence:
+    """A reading depends on the instant, not on who read the clock before:
+    in analytic mode a read applies the latest sync lazily, so a clock
+    whose anchor or drift came from the read instant (or from one RNG
+    draw per applied sync) would let one node's probe traffic move
+    another transaction's timestamps."""
+
+    @staticmethod
+    def probe_readings(probes, extra_reads):
+        env = Environment()
+        source, _clock, _device, _sync = make_gclock(env)
+        readings = []
+        instants = sorted({(at, True) for at in probes}
+                          | {(at, False) for at in extra_reads})
+        for at, is_probe in instants:
+            if at > env.now:
+                env.run(until=at)
+            reading = (source.read(), source.bounds())
+            if is_probe:
+                readings.append((at, reading))
+        return readings
+
+    @settings(max_examples=60, deadline=None)
+    @given(probes=st.lists(st.integers(0, ms(12)), min_size=1, max_size=8),
+           extra_reads=st.lists(st.integers(0, ms(12)), max_size=20))
+    def test_extra_reads_leave_later_readings_unchanged(self, probes,
+                                                        extra_reads):
+        assert self.probe_readings(probes, extra_reads) \
+            == self.probe_readings(probes, [])
 
 
 class TestGClockSource:

@@ -288,9 +288,12 @@ def test_commit_ts_table_tracks_outcomes():
 #: records move every replica's frontier at other instants. Re-pinned when
 #: replicas stopped acking batches of row changes only: the trace lost 504
 #: ``net``/``redo_ack`` spans, and the rest, ids aside, is the same multiset
-#: of spans. The digest below was verified identical across repeated runs.
+#: of spans. Re-pinned when a synced clock's reading came to depend only on
+#: the sync boundary, not on who read the clock before: commit timestamps
+#: and commit waits moved by nanoseconds. The digest below was verified
+#: identical across repeated runs.
 PRE_OPT_SMOKE_DIGEST = (
-    "d9a112c443d9808afa33e9c0697e5d4aa537fef54f6d7b330e52df03534ea6a8")
+    "dceffb292ce7b95c6996530e4dd2e308a688e0046cad15d12ecb7876c1ddcffd")
 
 
 def test_smoke_digest_matches_pre_optimization_recording():

@@ -33,13 +33,17 @@ from test_no_garbage_cycles import SCENARIOS
 #: Digest per workload, recorded with the kernel that pushed every wait.
 #: The three ROR workloads were re-recorded when heartbeats became one-way
 #: notices logged only by a quiet primary; point select (no shard goes
-#: quiet) and the baseline (no control plane) kept theirs.
+#: quiet) and the baseline (no control plane) kept theirs. The four GClock
+#: workloads were re-recorded again when a synced clock's anchor and drift
+#: came to depend on the sync boundary alone, not on when a node read its
+#: clock: commit timestamps, and with them commit waits, moved by
+#: nanoseconds. The baseline (GTM timestamps) kept its digest.
 PINNED = {
-    "hot_rows_three_city": "11ccda02ebad39b9",
-    "point_select_one_region": "c8868da4211a8154",
-    "sql_mixed_three_city": "3eb1cc74617aea7c",
+    "hot_rows_three_city": "2b2371621aaa43a5",
+    "point_select_one_region": "28ac2db181cdd465",
+    "sql_mixed_three_city": "ae1d813ea2eb399f",
     "tpcc_gtm_sync_three_city": "2a839590602cabb7",
-    "tpcc_three_city": "f5dd17b572cb2e22",
+    "tpcc_three_city": "b36a8daba04a0b3c",
 }
 
 
@@ -65,7 +69,11 @@ def test_workload_outcome_matches_recording(name):
 #: stopped acking batches of row changes only: three primaries' WAL
 #: ``start_lsn`` moved (truncation waits for a later ack, which carries a
 #: higher applied watermark); outcomes, failover record and stores held.
-FAILOVER_PINNED = "8b5736f0dbab2f60"
+#: Re-recorded when the clock's reading stopped depending on its readers:
+#: counts, failover record and stores' rows held, while commit latencies,
+#: commit timestamps, clock-stamped columns and frontiers moved by
+#: nanoseconds.
+FAILOVER_PINNED = "e15f3a449d2ea2de"
 
 
 def store_fields(store) -> tuple:
