@@ -4,10 +4,10 @@ The CN is stateless with respect to data (as in GaussDB): it parses and
 plans client requests, routes operations to shard primaries, coordinates
 one-phase and two-phase commits, and runs read-only queries at a pinned
 snapshot — on replicas at the RCP when the cluster has ROR, on primaries
-otherwise. Which replica serves a read, and the loops that keep the RCP
-and the skyline metrics moving, belong to the CN's ROR control plane,
-:class:`repro.ror.control.ControlPlane`, attached as ``cn.ror`` (``None``
-without ROR).
+otherwise. Which replica serves a read, and the probe round that keeps
+the RCP and the skyline metrics moving, belong to the CN's ROR control
+plane, :class:`repro.ror.control.ControlPlane`, attached as ``cn.ror``
+(``None`` without ROR).
 """
 
 from __future__ import annotations
@@ -110,6 +110,9 @@ class ComputingNode(ClusterNode):
                 self.ror.invalidate_routes()
         elif kind == "rcp_update":
             self.ror.on_rcp_update(*payload[1:])
+        elif kind == "status" and self.ror is not None:
+            _kind, sent_at, status = payload
+            self.ror.on_status(sent_at, status)
         elif kind == "ddl_apply":
             _kind, action, table, ddl_payload, ddl_ts = payload
             self._apply_ddl_locally(action, table, ddl_payload, ddl_ts)

@@ -23,7 +23,12 @@ timeout, lock and commit-window waits, and the reply message.
 
 from __future__ import annotations
 
-from repro.errors import NetworkError, TransactionAborted, WriteConflict
+from repro.errors import (
+    NetworkError,
+    TransactionAborted,
+    TransactionError,
+    WriteConflict,
+)
 from repro.replication.quorum import AckTracker, ReplicationPolicy
 from repro.replication.replayer import Replayer
 from repro.replication.replica import ReplicaStore
@@ -183,7 +188,7 @@ class DataNode(ClusterNode):
         self._catchup_inflight = False
 
     # ------------------------------------------------------------------
-    # One-way notices: redo batches, acks and heartbeat requests
+    # One-way notices: redo batches, acks and probe-round heartbeats
     # ------------------------------------------------------------------
     #: Truncate the WAL prefix once this many records are applied
     #: everywhere (amortizes the list surgery instead of truncating on
@@ -200,9 +205,16 @@ class DataNode(ClusterNode):
             self.acks.record(replica, lsn, applied_lsn)
             self._maybe_truncate_wal()
             self.acks.release()
-        elif (kind == "heartbeat" and self.is_primary and self.env.now
-              - self.engine.frontier_moved_at >= HEARTBEAT_INTERVAL_NS):
-            self._spawn(self._heartbeat(), "heartbeat")
+        elif kind == "heartbeat" and self.is_primary:
+            # A CN's probe round: answer with this node's status, and log
+            # a heartbeat record if a collector asks and the frontier has
+            # been quiet for an interval.
+            _kind, sent_at, from_collector = payload
+            self.network.send(self.name, message.src,
+                              ("status", sent_at, self._status()))
+            if from_collector and (self.env.now - self.engine.frontier_moved_at
+                                   >= HEARTBEAT_INTERVAL_NS):
+                self._spawn(self._heartbeat(), "heartbeat")
 
     def _maybe_truncate_wal(self) -> None:
         """Drop the WAL prefix every replica has already applied.
@@ -517,7 +529,13 @@ class DataNode(ClusterNode):
             _kind, txid, ts = request.body
             yield from self._work(COMMIT_NS)
             policy = self._commit_policy(txid)
-            lsn = self.engine.commit_prepared(txid, ts)
+            try:
+                lsn = self.engine.commit_prepared(txid, ts)
+            except TransactionError as exc:
+                # Unknown or vacuumed txid, the other outcome or another
+                # timestamp: the coordinator hears why, and nothing is logged.
+                request.reply(("error", exc))
+                return
             if lsn is None:
                 # A repeat: everything logged so far covers the first
                 # one's record, so it never answers before the first could.
@@ -543,7 +561,12 @@ class DataNode(ClusterNode):
         def run():
             _kind, txid = request.body
             yield from self._work(COMMIT_NS)
-            if self.engine.abort_prepared(txid) is not None:
+            try:
+                lsn = self.engine.abort_prepared(txid)
+            except TransactionError as exc:
+                request.reply(("error", exc))
+                return
+            if lsn is not None:
                 self.aborts += 1
             request.reply(("ok",))
         self._spawn(run(), "abort_prepared")
@@ -651,12 +674,9 @@ class DataNode(ClusterNode):
     # ------------------------------------------------------------------
     # Shared status surface
     # ------------------------------------------------------------------
-    def _handle_max_commit_ts(self, request: Request) -> None:
-        request.reply(self.engine.max_commit_ts)
-
-    def _handle_status(self, request: Request) -> None:
+    def _status(self) -> dict:
         backlog = self.replayer.backlog_batches if self.replayer else 0
-        request.reply({
+        return {
             "name": self.name,
             "region": self.region,
             "role": self.role,
@@ -664,4 +684,7 @@ class DataNode(ClusterNode):
             "max_commit_ts": self.engine.max_commit_ts,
             "load": self.pool.load + backlog,
             "up": not self.failed,
-        })
+        }
+
+    def _handle_status(self, request: Request) -> None:
+        request.reply(self._status())

@@ -11,9 +11,11 @@ Four pieces:
 - :mod:`repro.ror.skyline` — cost-based node selection: a Pareto skyline
   over (staleness, latency/load) from which the router picks the fastest
   node satisfying a query's freshness bound, excluding failed nodes.
-- :mod:`repro.ror.control` — one CN's control plane: the loops that feed
-  the three above (status probes, RCP collection with heartbeat notices),
-  collector takeover, and the replica choice for each read.
+- :mod:`repro.ror.control` — one CN's control plane: the probe round that
+  feeds the three above (``status`` requests to replicas, heartbeat
+  notices to primaries answered by one-way ``status`` notices; the
+  collector takes the RCP from the same replies), collector takeover, and
+  the replica choice for each read.
 """
 
 from repro.ror.rcp import RcpState, compute_rcp

@@ -2,20 +2,30 @@
 
 Everything a CN keeps only so that reads can go to replicas: the skyline
 metric table and its route cache, the staleness estimator, the RCP
-collector role, the replica choice for each read, and two loops —
+collector role, the replica choice for each read, and one probe round
+that feeds them all (§IV-A/B ask the data nodes for two things, replica
+frontiers for the RCP and node staleness, latency and load for the
+skyline; one round carries both):
 
-- **metrics refresh** — polls every data node's status to feed the skyline;
-- **RCP collection** — when this CN holds the collector role for its
-  region, polls replica frontiers, computes the RCP, and distributes it;
-  every CN watches the collector and takes over if updates stop (§IV-A).
-  Each round opens with a one-way ``heartbeat`` notice to every primary,
-  which a quiet one answers by logging a heartbeat record.
+- a ``status`` request to every replica, whose reply carries the
+  replica's frontier, load and role; each reply updates the metric table
+  as it lands;
+- a one-way ``heartbeat`` notice to every primary, stamped with its send
+  time, which the primary answers with a one-way ``status`` notice (and,
+  when the notice comes from a collector and the primary is quiet, by
+  logging a heartbeat record). A primary that leaves notices unanswered
+  for ``RCP_PROBE_TIMEOUT_NS`` is marked down.
+
+Every CN runs the round, so every CN has metrics. When this CN holds the
+collector role for its region it also computes the RCP from the round's
+replies and distributes it; every other CN watches the collector and
+takes over if updates stop (§IV-A).
 
 The builder attaches one as ``cn.ror`` only on a cluster with ROR, so a
-baseline cluster sends no ``status`` / ``max_commit_ts`` / ``heartbeat``
-message and logs no heartbeat record. Placement is read off the CN on
-every use, so a failover's rewiring reaches every loop at once. The RCP
-itself, ``cn.rcp_state``, stays on the CN: baseline CNs read it too.
+baseline cluster sends no ``status`` / ``heartbeat`` message and logs no
+heartbeat record. Placement is read off the CN on every use, so a
+failover's rewiring reaches the round at once. The RCP itself,
+``cn.rcp_state``, stays on the CN: baseline CNs read it too.
 """
 
 from __future__ import annotations
@@ -33,12 +43,12 @@ from repro.sim.units import ms, us
 if typing.TYPE_CHECKING:
     from repro.cluster.cn import ComputingNode
 
-#: Status probe period; a probe gives up after ten.
-METRICS_INTERVAL_NS = ms(25)
-#: Pause after a collector round, which waits for the slowest replica (about
-#: 92 ms on Three-City); also how often other CNs check for a takeover.
+#: Pause after a round, which waits for the slowest replica (about 92 ms
+#: on Three-City); a CN that is not the collector checks for a takeover
+#: before each round.
 RCP_POLL_INTERVAL_NS = ms(5)
-#: A replica that misses this is skipped for the round.
+#: A replica that misses this is skipped for the round and marked down; a
+#: primary that leaves a notice unanswered this long is marked down.
 RCP_PROBE_TIMEOUT_NS = ms(500)
 #: RCP updates this old make the first live CN of the region collector.
 COLLECTOR_TIMEOUT_NS = ms(100)
@@ -46,13 +56,14 @@ COLLECTOR_TIMEOUT_NS = ms(100)
 HEARTBEAT_INTERVAL_NS = ms(5)
 #: Replicas whose last-known frontier trails the RCP by more than this are
 #: not routed to (a known laggard would park readers in its safe-time
-#: wait). Small lags are fine: metrics refresh less often than the RCP
-#: moves, and the replica-side wait covers the race.
+#: wait). A replica that answered the round the RCP came from is at or past
+#: it; the guard catches one whose last answer is rounds old. Small lags are
+#: fine: the replica-side wait covers the race.
 REPLICA_LAG_GUARD_NS = ms(250)
 
 
 class ControlPlane:
-    """One CN's ROR routing state and the loops that maintain it."""
+    """One CN's ROR routing state and the probe round that maintains it."""
 
     def __init__(self, cn: "ComputingNode", initial_collector: bool):
         self.cn = cn
@@ -67,42 +78,31 @@ class ControlPlane:
         self.staleness = StalenessEstimator(cn.env, cn.gclock, name=cn.name)
         self.is_collector = initial_collector
         self.last_rcp = 0
-        self.env.process(self._metrics_loop(), name=f"{self.name}:metrics")
+        # primary -> send time of its oldest notice not answered since.
+        self._unanswered: dict[str, int] = {}
         self.env.process(self._rcp_loop(), name=f"{self.name}:rcp")
 
     # ------------------------------------------------------------------
-    # Loops: metrics refresh, RCP collection and takeover
+    # The probe round, the RCP and collector takeover
     # ------------------------------------------------------------------
-    def _metrics_loop(self):
-        while True:
-            if not self.cn.failed:
-                self._refresh_metrics()
-            yield self.env.timeout(METRICS_INTERVAL_NS)
-
-    def _refresh_metrics(self) -> None:
-        """Fire one status probe per data node; replies update the metric
-        table as they arrive (remote nodes answer after a WAN round trip,
-        so the loop must not block on the farthest node)."""
-        sent_at = self.env.now
-        for name in self.cn.all_replicas + self.cn.all_primaries:
-            request = self.network.request(
-                self.name, name, ("status",),
-                timeout_ns=METRICS_INTERVAL_NS * 10)
-            request.add_callback(
-                lambda event, name=name, sent_at=sent_at:
-                self._on_status_reply(name, sent_at, event))
-
     def _on_status_reply(self, name: str, sent_at: int, event) -> None:
+        """A replica's answer to the round's ``status`` request, or its
+        deadline."""
         event.defused = True
-        self.invalidate_routes()
-        if not event.ok:
-            existing = self.metrics.get(name)
-            if existing is not None:
-                existing.up = False
-            if self.env.series_on:
-                self._record_route_series(name)
+        if event.ok:
+            self.on_status(sent_at, event.value)
             return
-        status = event.value
+        self.mark_down(name)
+        if self.env.series_on:
+            self._record_route_series(name)
+
+    def on_status(self, sent_at: int, status: dict) -> None:
+        """A node's status reached this CN: a replica's reply to the
+        round's request, or a primary's notice answering the round's
+        heartbeat notice sent at ``sent_at``."""
+        name = status["name"]
+        self._unanswered.pop(name, None)
+        self.invalidate_routes()
         self.staleness.observe_frontier(status["max_commit_ts"])
         latency = (self.env.now - sent_at) // 2  # one-way estimate
         staleness_ns = self.staleness.estimate_ns(
@@ -156,30 +156,39 @@ class ControlPlane:
     def _rcp_loop(self):
         while True:
             if not self.cn.failed:
-                if self.is_collector:
-                    yield from self._poll()
-                else:
+                if not self.is_collector:
                     self._maybe_take_over()
+                yield from self._round()
             yield self.env.timeout(RCP_POLL_INTERVAL_NS)
 
-    def _poll(self):
-        """Generator: one collector round: heartbeat notices to every
-        primary, then the RCP over every replica that answers (a down one
-        must not freeze it), pushed to the region's other CNs."""
+    def _round(self):
+        """Generator: one probe round (see the module docstring). The
+        collector then takes the RCP over every replica that answered (a
+        down one must not freeze it) and pushes it to the region's other
+        CNs."""
         started = self.env.now
+        self._mark_silent_primaries()
+        notice = ("heartbeat", started, self.is_collector)
         for primary in self.cn.all_primaries:
-            self.network.send(self.name, primary, ("heartbeat",),
-                              size_bytes=64)
-        requests = {
-            name: self.network.request(
-                self.name, name, ("max_commit_ts",),
+            self._unanswered.setdefault(primary, started)
+            self.network.send(self.name, primary, notice, size_bytes=64)
+        requests = {}
+        for name in self.cn.all_replicas:
+            request = self.network.request(
+                self.name, name, ("status",),
                 timeout_ns=RCP_PROBE_TIMEOUT_NS)
-            for name in self.cn.all_replicas
-        }
+            # Registered before settle's own, so the table is updated
+            # as each reply lands.
+            request.add_callback(
+                lambda event, name=name:
+                self._on_status_reply(name, started, event))
+            requests[name] = request
         if requests:
             yield settle(self.env, list(requests.values()))
-        maxima = {name: request.value for name, request in requests.items()
-                  if request.ok}
+        if not self.is_collector:
+            return
+        maxima = {name: request.value["max_commit_ts"]
+                  for name, request in requests.items() if request.ok}
         if not maxima:
             return
         rcp = compute_rcp(maxima)
@@ -206,6 +215,19 @@ class ControlPlane:
                 self.network.send(self.name, peer,
                                   ("rcp_update", self.last_rcp, self.name),
                                   size_bytes=64)
+
+    def _mark_silent_primaries(self) -> None:
+        """Mark down every primary that has left a notice unanswered for
+        ``RCP_PROBE_TIMEOUT_NS``: as with a replica's missed deadline, this
+        CN learns of a failure from the answers that stop coming."""
+        now = self.env.now
+        for name, since in self._unanswered.items():
+            known = self.metrics.get(name)
+            if (known is not None and known.up
+                    and now - since >= RCP_PROBE_TIMEOUT_NS):
+                self.mark_down(name)
+                if self.env.series_on:
+                    self._record_route_series(name)
 
     def on_rcp_update(self, rcp: int, collector: str) -> None:
         """An ``rcp_update`` notice from ``collector`` reached this CN."""
@@ -247,7 +269,8 @@ class ControlPlane:
         self._route_cache.clear()
 
     def mark_down(self, node: str) -> None:
-        """A read to ``node`` failed: route around it (§IV-B)."""
+        """A read to ``node`` failed, or its probe went unanswered: route
+        around it (§IV-B)."""
         known = self.metrics.get(node)
         if known is not None:
             known.up = False

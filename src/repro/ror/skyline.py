@@ -1,8 +1,9 @@
 """Cost-based replica selection via a Pareto skyline (§IV-B, Fig. 5).
 
-Each CN periodically refreshes, per candidate node, two costs: *staleness*
-(how far behind its applied data is) and *latency* (network RTT plus a load
-penalty reflecting how promptly it answers). The skyline is the set of
+Each CN refreshes, once per probe round (the one the RCP is taken from),
+two costs per candidate node: *staleness* (how far behind its applied
+data is) and *latency* (network RTT plus a load penalty reflecting how
+promptly it answers). The skyline is the set of
 Pareto-minimal candidates — nodes not dominated on both axes. Given a
 query's staleness bound, the router picks the lowest-latency skyline node
 whose data is fresh enough; crashed or overloaded nodes drop out of the

@@ -21,7 +21,7 @@ from repro.txn.modes import TxnMode
 
 
 class StalenessEstimator:
-    """Per-CN estimator fed by the CN's metric refresh loop."""
+    """Per-CN estimator fed by the status answers of the CN's probe round."""
 
     def __init__(self, env: Environment, gclock: GClockSource,
                  name: str = ""):

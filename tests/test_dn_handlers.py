@@ -5,7 +5,7 @@ details."""
 import pytest
 
 from repro import ClusterConfig, TxnMode, build_cluster, one_region, three_city
-from repro.errors import WriteConflict
+from repro.errors import TransactionError, WriteConflict
 from repro.ror.control import HEARTBEAT_INTERVAL_NS
 from repro.storage.redo import RedoHeartbeat
 from repro.sim.units import ms, us
@@ -116,10 +116,11 @@ def quiet_db(mode: str):
     return db, session
 
 
-def notify(db, node):
-    """Send ``node`` a heartbeat notice and let it land (and a GTM begin it
-    makes come back)."""
-    db.network.send(db.cns[0].name, node.name, ("heartbeat",))
+def notify(db, node, from_collector=True):
+    """Send ``node`` a collector's (or another CN's) heartbeat notice and
+    let it land (and a GTM begin it makes come back)."""
+    db.network.send(db.cns[0].name, node.name,
+                    ("heartbeat", db.env.now, from_collector))
     db.run_for(0.001)
 
 
@@ -176,6 +177,24 @@ class TestHeartbeatNotice:
         db.run_for(HEARTBEAT_INTERVAL_NS / 1e9)
         notify(db, primary)  # a whole quiet interval later: one more
         assert len(heartbeats(primary)) == 2
+
+    def test_every_notice_is_answered_and_only_a_collector_s_logs(
+            self, monkeypatch):
+        db, _session = quiet_db("gclock")
+        cn, primary = db.cns[0], db.primaries[0]
+        answers = []
+        monkeypatch.setattr(cn, "_on_notice",
+                            lambda payload, message: answers.append(payload))
+        first_at = db.env.now
+        notify(db, primary, from_collector=False)
+        assert heartbeats(primary) == []
+        notify(db, primary)
+        assert len(heartbeats(primary)) == 1
+        assert [(kind, sent_at) for kind, sent_at, _status in answers] \
+            == [("status", first_at), ("status", first_at + ms(1))]
+        for _kind, _sent_at, status in answers:
+            assert (status["name"], status["role"]) == (primary.name,
+                                                        "primary")
 
     def test_replica_or_down_primary_logs_nothing(self):
         db, _session = quiet_db("gclock")
@@ -372,6 +391,43 @@ class TestRepeatedPhaseTwo:
         assert sent_at < first <= repeat
         # The first waited for a remote replica's ack: a WAN round trip.
         assert first - sent_at > ms(20)
+
+
+class TestPhaseTwoErrors:
+    """A phase-2 request the participant cannot honour (an unknown txid,
+    the other outcome, another timestamp) is answered with ``("error",
+    exc)``: it logs nothing, frees its worker and the simulation runs on."""
+
+    @staticmethod
+    def assert_refused(db, cn, primary, body):
+        lsn, commits, aborts = (primary.engine.wal.last_lsn, primary.commits,
+                                primary.aborts)
+        kind, exc = rpc(db, cn, primary.name, body)
+        assert kind == "error" and isinstance(exc, TransactionError)
+        assert primary.engine.wal.last_lsn == lsn
+        assert (primary.commits, primary.aborts) == (commits, aborts)
+        assert primary.pool.in_use == 0
+
+    @pytest.mark.parametrize("body", [("commit_prepared", 424242, 10**9),
+                                      ("abort_prepared", 424242)],
+                             ids=["commit_prepared", "abort_prepared"])
+    def test_an_unknown_txid_is_refused(self, body):
+        db = build_cluster(ClusterConfig.globaldb(one_region()))
+        db.run_for(0.1)
+        cn, primary = db.cns[0], db.primaries[0]
+        self.assert_refused(db, cn, primary, body)
+        before = db.env.now
+        db.run_for(0.1)
+        assert db.env.now == before + ms(100)
+
+    def test_the_other_outcome_or_timestamp_is_refused(self):
+        db, cn, primary, txid = prepared_on_shard_0(
+            ClusterConfig.globaldb(one_region()))
+        ts = primary.engine.max_commit_ts + 1_000
+        assert rpc(db, cn, primary.name,
+                   ("commit_prepared", txid, ts)) == ("ok", ts)
+        self.assert_refused(db, cn, primary, ("commit_prepared", txid, ts + 1))
+        self.assert_refused(db, cn, primary, ("abort_prepared", txid))
 
 
 class TestGtmServerDetails:

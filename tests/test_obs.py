@@ -321,7 +321,7 @@ class TestRunReport:
         # A request kind and the replies; the ROR control plane shows up
         # under its own names.
         for kind in ("rpc_reply", "update", "redo_batch", "redo_ack",
-                     "status", "heartbeat", "max_commit_ts"):
+                     "status", "heartbeat"):
             assert report.message_counts[kind] > 0, kind
         counts = list(report.message_counts.values())
         assert counts == sorted(counts, reverse=True)

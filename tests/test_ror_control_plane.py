@@ -1,10 +1,12 @@
-"""The ROR control plane (status probes, RCP polls, heartbeats) runs only
-on clusters with ROR; a cluster without it stays fully usable."""
+"""The ROR control plane (one probe round: status requests to replicas,
+heartbeat notices to primaries and their status answers) runs only on
+clusters with ROR; a cluster without it stays fully usable."""
 
 import pytest
 
 from repro import ClusterConfig, build_cluster, one_region, three_city
 from repro.obs.report import messages_by_kind
+from repro.ror.control import RCP_POLL_INTERVAL_NS, RCP_PROBE_TIMEOUT_NS
 from repro.sim.units import ms
 from repro.workloads import TpccConfig, TpccWorkload, run_workload
 
@@ -16,7 +18,7 @@ ROR_OFF = {
         three_city(), ror_enabled=False, **kw),
 }
 
-CONTROL_PLANE_KINDS = ("status", "heartbeat", "max_commit_ts")
+CONTROL_PLANE_KINDS = ("status", "heartbeat")
 
 
 @pytest.fixture(params=sorted(ROR_OFF))
@@ -60,14 +62,19 @@ class TestIdleTraffic:
         exactly the recorded control-plane traffic. Re-recorded when
         heartbeats became one-way notices at the start of each RCP round,
         logged only by a quiet primary (before: 3192 replies, 1096 redo
-        batches, 1058 acks, 738 heartbeat RPCs, 704 WAL records)."""
+        batches, 1058 acks, 738 heartbeat RPCs, 704 WAL records), and
+        again when the 25 ms status stream folded into the round (before:
+        2488 replies, 2214 status requests, 384 ``max_commit_ts``
+        requests). ``status`` is now the round's 384 replica requests plus
+        the primaries' answers to 188 of the 192 notices (the last four
+        are still on the wire when the second ends)."""
         db = build_cluster(ClusterConfig.globaldb(three_city(),
                                                   trace_enabled=True))
         db.run_for(1.0)
         kinds, _commits = messages_by_kind(db.env.tracer.spans)
-        assert kinds == {"rpc_reply": 2488, "status": 2214,
+        assert kinds == {"rpc_reply": 376, "status": 572,
                          "redo_batch": 332, "redo_ack": 320,
-                         "heartbeat": 192, "max_commit_ts": 384}
+                         "heartbeat": 192}
         assert wal_records(db) == 166
 
     def test_gtm_mode_with_ror_still_heartbeats_through_the_gtm(self):
@@ -95,6 +102,56 @@ def test_fault_free_ror_run_has_no_rpc_timeouts(topology):
                           terminals=6, duration_s=0.5)
     assert result.stats.committed > 0
     assert db.stats()["rpc_timeouts"] == 0
+
+
+class TestProbeRound:
+    def test_a_non_collector_probes_and_reads_replicas(self):
+        """Every CN runs the round, so a second CN in a region knows every
+        data node; only the collector's notices may log a heartbeat, so
+        the extra CNs change no WAL."""
+        def idle(cns_per_region):
+            db = build_cluster(ClusterConfig.globaldb(
+                three_city(), cns_per_region=cns_per_region))
+            db.run_for(1.0)
+            return db
+
+        db = idle(cns_per_region=2)
+        assert wal_records(db) == wal_records(idle(cns_per_region=1))
+        backups = [cn for cn in db.cns if not cn.ror.is_collector]
+        assert len(backups) == len(db.config.topology.regions)
+        data_nodes = {dn.name for dn in db.primaries} | {
+            replica.name for replicas in db.replicas.values()
+            for replica in replicas}
+        for cn in backups:
+            assert set(cn.ror.metrics) == data_nodes
+        load_rows(db)
+        db.run_for(0.5)
+        reader = db.session(cn=backups[-1])
+        rows = reader.read_only_multi("t", [(k,) for k in range(ROWS)])
+        assert [row["v"] for row in rows] == [k * 10 for k in range(ROWS)]
+        assert backups[-1].ror_reads > 0
+
+    def test_a_silent_primary_is_marked_down(self):
+        """A primary's metrics come only from its answers to the round's
+        notices. Every CN marks it down once a notice has gone unanswered
+        for ``RCP_PROBE_TIMEOUT_NS`` (seen at the next round's start), and
+        not before: the CN learns of the failure from messages, not from
+        the network's endpoint flag."""
+        db = build_cluster(ClusterConfig.globaldb(one_region(),
+                                                  cns_per_region=2))
+        db.run_for(0.2)
+        victim = db.primaries[0]
+        assert all(cn.ror.metrics[victim.name].up for cn in db.cns)
+        victim.fail()
+        db.run_for((RCP_PROBE_TIMEOUT_NS - ms(10)) / 1e9)
+        assert all(cn.ror.metrics[victim.name].up for cn in db.cns)
+        # The first unanswered notice left within a round of the failure;
+        # the silence is seen at the first round start after its timeout.
+        db.run_for((ms(10) + 3 * RCP_POLL_INTERVAL_NS) / 1e9)
+        assert not any(cn.ror.metrics[victim.name].up for cn in db.cns)
+        victim.recover()
+        db.run_for(0.05)
+        assert all(cn.ror.metrics[victim.name].up for cn in db.cns)
 
 
 class TestReadsWithoutRor:

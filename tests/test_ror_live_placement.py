@@ -1,6 +1,6 @@
 """The ROR control plane reads placement from its CN on every round, so a
-failover's rewiring reaches the collector's RCP polls and every CN's
-status probes without any copy to patch."""
+failover's rewiring reaches every CN's probe round (status requests to
+replicas, heartbeat notices to primaries) without any copy to patch."""
 
 from repro import ClusterConfig, build_cluster, three_city
 from repro.sim.units import ms
@@ -8,7 +8,7 @@ from repro.sim.units import ms
 
 def first_rounds(sent, kind):
     """``{src: [dst, ...]}``: each source's first round of ``kind``
-    requests (the requests it sent at the first instant it sent any)."""
+    messages (the ones it sent at the first instant it sent any)."""
     first_at, rounds = {}, {}
     for at, src, dst, body in sent:
         if body[0] != kind:
@@ -30,26 +30,30 @@ def test_control_plane_follows_a_promotion(monkeypatch):
     promoted = event.new_primary
 
     sent = []
-    request = db.network.request
+    request, send = db.network.request, db.network.send
 
-    def recording(src, dst, body, *args, **kwargs):
+    def recording_request(src, dst, body, *args, **kwargs):
         sent.append((db.env.now, src, dst, body))
         return request(src, dst, body, *args, **kwargs)
 
-    monkeypatch.setattr(db.network, "request", recording)
-    db.run_for(0.1)
+    def recording_send(src, dst, payload, *args, **kwargs):
+        if isinstance(payload, tuple):  # a notice, not a request's message
+            sent.append((db.env.now, src, dst, payload))
+        return send(src, dst, payload, *args, **kwargs)
 
-    cns = {cn.name: cn for cn in db.cns}
-    polls = first_rounds(sent, "max_commit_ts")
-    # One collector per region polls; the promoted node is a primary now.
-    assert sorted(cns[name].region for name in polls) \
-        == sorted(db.config.topology.regions)
-    for name, replicas in polls.items():
-        assert set(replicas) == set(cns[name].all_replicas)
-        assert promoted not in replicas
+    monkeypatch.setattr(db.network, "request", recording_request)
+    monkeypatch.setattr(db.network, "send", recording_send)
+    db.run_for(0.2)
 
-    statuses = first_rounds(sent, "status")
+    cns = {cn.name for cn in db.cns}
+    sent = [message for message in sent if message[1] in cns]
+    probes = first_rounds(sent, "status")
+    notices = first_rounds(sent, "heartbeat")
+    # Every CN probes, collector or not; the promoted node is a primary
+    # now, so it gets a notice and no request.
+    assert set(probes) == set(notices) == cns
     for cn in db.cns:
         assert promoted in cn.all_primaries
         assert promoted not in cn.all_replicas
-        assert statuses[cn.name] == cn.all_replicas + cn.all_primaries
+        assert probes[cn.name] == cn.all_replicas
+        assert notices[cn.name] == cn.all_primaries
